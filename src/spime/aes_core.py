@@ -60,6 +60,20 @@ class AesCoreInputs:
             raise ValueError(f"round_keys must carry {NUM_ROUND_KEYS} keys")
 
 
+def datapath(state: str, rnd: int, state_reg: list, data_in: bytes, round_keys: list) -> list:
+    """Next state register of a core executing ``state`` at round counter ``rnd``.
+
+    Shared by :class:`AesCoreSim` and the lockstep array's per-unit registers.
+    """
+    if state == INIT:
+        return add_round_key(block_to_state(data_in), round_keys[0])
+    if state == ROUND:
+        return add_round_key(mix_columns(shift_rows(sub_bytes(state_reg))), round_keys[rnd + 1])
+    if state == FINAL:
+        return add_round_key(shift_rows(sub_bytes(state_reg)), round_keys[10])
+    return state_reg
+
+
 class AesCoreSim:
     """Registered state of one AES core, advanced one cycle per step."""
 
@@ -86,7 +100,7 @@ class AesCoreSim:
         """
         state = self.current_state
         self.round_keys = list(inputs.round_keys)
-        keys = self.round_keys
+        self.state_reg = datapath(state, self.round, self.state_reg, inputs.data_in, self.round_keys)
 
         if state == IDLE:
             self.done = False
@@ -94,16 +108,12 @@ class AesCoreSim:
                 self.current_state = INIT
         elif state == INIT:
             self.round = 0
-            self.state_reg = add_round_key(block_to_state(inputs.data_in), keys[0])
             self.current_state = ROUND
         elif state == ROUND:
-            transformed = mix_columns(shift_rows(sub_bytes(self.state_reg)))
-            self.state_reg = add_round_key(transformed, keys[self.round + 1])
             self.round += 1
             # 9 full rounds total: leave once the counter reaches 9.
             self.current_state = FINAL if self.round == 9 else ROUND
         elif state == FINAL:
-            self.state_reg = add_round_key(shift_rows(sub_bytes(self.state_reg)), keys[10])
             self.data_out = state_to_block(self.state_reg)
             self.done = True
             self.current_state = IDLE

@@ -4,8 +4,12 @@ All units share one clock, one reset, and one start signal; plaintext,
 key, and ciphertext buffers are per unit. A job preloads every unit with
 the same number of 128-bit blocks; the array holds start high until each
 unit has begun its last block and collects one ciphertext per done pulse.
-Units share no state, so an N-unit run is bit-identical to N independent
-single-unit runs with the same per-unit payloads.
+
+Timing does not depend on data, so all units follow one control
+trajectory: the array steps a single shared :class:`PimUnit` for the FSMs
+and handshake, and keeps one datapath state register per unit, advanced
+by :func:`~spime.aes_core.datapath`. :class:`PimUnit` stays the reference
+model: an N-unit run matches N independent unit runs cycle for cycle.
 
 Job file format (one line per unit, '#' comments allowed):
 
@@ -17,19 +21,22 @@ Result files have the same shape with ciphertext blocks.
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .controller import PimUnit, UNIT_CYCLES_PER_BLOCK
+from .aes_core import IDLE, datapath
+from .controller import C_IDLE, PimUnit, UNIT_CYCLES_PER_BLOCK
 from .primitives import (
     BLOCK_BYTES,
     NUM_ROUND_KEYS,
     ZERO_BLOCK,
     block_from_hex,
+    block_to_state,
     check_block,
     expand_key,
+    state_to_block,
 )
 
 BLOCK_BITS = 8 * BLOCK_BYTES
 
-_IDLE_SCHEDULE = [ZERO_BLOCK] * NUM_ROUND_KEYS
+_ZERO_SCHEDULE = [ZERO_BLOCK] * NUM_ROUND_KEYS
 
 TRACE_HEADER = ["unit", "cycle", "ctrl_state", "aes_start", "core_state", "round", "aes_done", "done"]
 
@@ -111,18 +118,18 @@ class UnitObservation(NamedTuple):
 
 
 class SpimeArraySim:
-    """N (controller, core) pairs stepped in lockstep on a shared clock."""
+    """N units on a shared clock: one control trajectory, N datapath registers."""
 
     def __init__(self, cfg: SpimeConfig):
         self.cfg = cfg
-        self.units = [PimUnit() for _ in range(cfg.num_pims)]
+        self._control = PimUnit()
         self.trace_rows = []
         self.reset()
 
     def reset(self) -> None:
-        """Global reset: all FSMs to IDLE, cycle counter and job cleared."""
-        for unit in self.units:
-            unit.reset()
+        """Global reset: control to IDLE, registers, cycle counter and job cleared."""
+        self._control.reset()
+        self.units = [block_to_state(ZERO_BLOCK)] * self.cfg.num_pims
         self.cycle = 0
         self.trace_rows = []
         self._job = None
@@ -139,66 +146,53 @@ class SpimeArraySim:
         self._started = 0
 
     def job_complete(self) -> bool:
-        """True once every block is captured and all FSMs are idle again."""
-        if self._job is None:
+        """True once every block is captured and the control is idle again."""
+        if self._job is None or len(self._outputs[0]) < self.cfg.blocks_per_unit:
             return False
-        blocks = self.cfg.blocks_per_unit
-        if any(len(out) < blocks for out in self._outputs):
-            return False
-        return all(
-            u.ctrl.state == "IDLE" and u.core.current_state == "IDLE"
-            and not u.ctrl.done and not u.ctrl.aes_start and not u.core.done
-            for u in self.units
+        ctrl, core = self._control.ctrl, self._control.core
+        return (
+            ctrl.state == C_IDLE and core.current_state == IDLE
+            and not ctrl.done and not ctrl.aes_start and not core.done
         )
 
     def tick(self) -> list:
-        """Advance every unit exactly one global cycle; returns observations."""
+        """Advance the array exactly one global cycle; returns observations."""
+        ctrl, core = self._control.ctrl, self._control.core
         blocks = self.cfg.blocks_per_unit if self._job else 0
         start = self._job is not None and self._started < blocks
-        accepted = start and self.units[0].ctrl.state == "IDLE"
+        accepted = start and ctrl.state == C_IDLE
+        state, rnd = core.current_state, core.round
 
-        for u, unit in enumerate(self.units):
-            if self._job is not None:
-                pending = min(len(self._outputs[u]), blocks - 1)
-                data_in = self._job.inputs[u][pending]
-                schedule = self._schedules[u]
-            else:
-                data_in = ZERO_BLOCK
-                schedule = _IDLE_SCHEDULE
-            unit.tick(start=start, data_in=data_in, round_keys=schedule)
+        # Timing is data-independent, so the control runs on constant data. It
+        # leaves IDLE only after a start, so below a job is always loaded.
+        self._control.tick(start=start, data_in=ZERO_BLOCK, round_keys=_ZERO_SCHEDULE)
+        if state != IDLE:
+            pending = min(len(self._outputs[0]), blocks - 1)
+            self.units = [
+                datapath(state, rnd, reg, inputs[pending], schedule)
+                for reg, inputs, schedule in zip(self.units, self._job.inputs, self._schedules)
+            ]
 
         self.cycle += 1
         if accepted:
             self._started += 1
+        if ctrl.done:
+            for out, reg in zip(self._outputs, self.units):
+                out.append(state_to_block(reg))
 
-        observations = []
-        for u, unit in enumerate(self.units):
-            if self._job is not None and unit.ctrl.done:
-                self._outputs[u].append(unit.ctrl.data_out)
-            observations.append(
-                UnitObservation(
-                    ctrl_state=unit.ctrl.state,
-                    core_state=unit.core.current_state,
-                    aes_start=unit.ctrl.aes_start,
-                    aes_done=unit.core.done,
-                    done=unit.ctrl.done,
-                    round=unit.core.round,
-                )
-            )
-            if self.cfg.trace_enabled:
-                self.trace_rows.append(
-                    [
-                        u,
-                        self.cycle,
-                        unit.ctrl.state,
-                        int(unit.ctrl.aes_start),
-                        unit.core.current_state,
-                        unit.core.round,
-                        int(unit.core.done),
-                        int(unit.ctrl.done),
-                    ]
-                )
-        return observations
+        observation = UnitObservation(
+            ctrl_state=ctrl.state,
+            core_state=core.current_state,
+            aes_start=ctrl.aes_start,
+            aes_done=core.done,
+            done=ctrl.done,
+            round=core.round,
+        )
+        if self.cfg.trace_enabled:
+            row = [self.cycle, ctrl.state, int(ctrl.aes_start), core.current_state,
+                   core.round, int(core.done), int(ctrl.done)]
+            self.trace_rows.extend([u] + row for u in range(self.cfg.num_pims))
+        return [observation] * self.cfg.num_pims
 
     def run_job(self, job: SpimeJob) -> SpimeResult:
         """Run a staged job to completion and collect all ciphertexts."""
@@ -217,7 +211,7 @@ class SpimeArraySim:
 
 
 def build_array(cfg: SpimeConfig) -> SpimeArraySim:
-    """Construct an array of independent, reset (controller, core) pairs."""
+    """Construct a reset array for ``cfg``."""
     return SpimeArraySim(cfg)
 
 
@@ -225,10 +219,13 @@ def build_array(cfg: SpimeConfig) -> SpimeArraySim:
 # Job / result file round-trip
 # ---------------------------------------------------------------------------
 
-def parse_job_lines(lines) -> SpimeJob:
-    """Parse job-file lines; raises JobFormatError with a line number."""
+def parse_job_lines(lines, blocks_per_unit=None) -> SpimeJob:
+    """Parse job-file lines; raises JobFormatError with a line number.
+
+    Every unit must hold ``blocks_per_unit`` blocks (default: as many as the first).
+    """
     keys, inputs = [], []
-    expected_blocks = None
+    expected_blocks = blocks_per_unit
     for lineno, raw in enumerate(lines, start=1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):

@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 usage/configuration error, 3 file I/O error,
 """
 
 import argparse
+import contextlib
 import csv
 import sys
 
@@ -44,25 +45,26 @@ def _error(message: str) -> None:
     print(f"error: {message}", file=sys.stderr)
 
 
-def _write_lines(path, lines) -> None:
+@contextlib.contextmanager
+def _open_output(path):
+    """Yield stdout when ``path`` is None, else ``path`` opened for writing."""
     if path is None:
-        for line in lines:
-            print(line)
+        yield sys.stdout
     else:
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        with open(path, "w", newline="") as fh:
+            yield fh
+
+
+def _write_lines(path, lines) -> None:
+    with _open_output(path) as fh:
+        fh.writelines(line + "\n" for line in lines)
 
 
 def _write_csv(path, header, rows) -> None:
-    if path is None:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
+    with _open_output(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-    else:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -77,41 +79,29 @@ def cmd_encrypt(args) -> int:
     if args.input is not None:
         try:
             with open(args.input) as fh:
-                raw_lines = fh.read().splitlines()
+                job = parse_job_lines(fh.read().splitlines(), blocks_per_unit=1)
         except OSError as exc:
             _error(f"cannot read {args.input}: {exc}")
             return EXIT_IO
-        operands = []
-        for lineno, line in enumerate(raw_lines, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            parts = stripped.split()
-            if len(parts) != 2:
-                _error(f"{args.input}:{lineno}: expected '<key-hex> <plaintext-hex>'")
-                return EXIT_USAGE
-            operands.append((lineno, parts[0], parts[1]))
-        if not operands:
-            _error(f"{args.input}: no key/plaintext lines")
+        except JobFormatError as exc:
+            _error(f"{args.input}: {exc}")
             return EXIT_USAGE
+        operands = [(key, blocks[0]) for key, blocks in zip(job.keys, job.inputs)]
     elif args.key and args.plaintext:
-        operands = [(0, args.key, args.plaintext)]
+        try:
+            operands = [(block_from_hex(args.key), block_from_hex(args.plaintext))]
+        except ValueError as exc:
+            _error(str(exc))
+            return EXIT_USAGE
     else:
         _error("KEY and PLAINTEXT hex operands (or --input FILE) are required")
         return EXIT_USAGE
 
     out_lines = []
-    for lineno, key_hex, pt_hex in operands:
-        where = f"line {lineno}: " if lineno else ""
-        try:
-            key = block_from_hex(key_hex)
-            plaintext = block_from_hex(pt_hex)
-        except ValueError as exc:
-            _error(f"{where}{exc}")
-            return EXIT_USAGE
+    for key, plaintext in operands:
         ciphertext, _cycles = encrypt_block(key, plaintext)
         if args.verify and ciphertext != reference_encrypt(key, plaintext):
-            _error(f"{where}FSM ciphertext disagrees with the composition oracle")
+            _error(f"{plaintext.hex()}: FSM ciphertext disagrees with the composition oracle")
             return EXIT_VERIFY
         out_lines.append(ciphertext.hex())
 

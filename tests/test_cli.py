@@ -94,6 +94,30 @@ def test_encrypt_missing_input_file(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "bad_line",
+    [
+        "zz" * 16 + " " + C1_PT_HEX,  # bad key hex
+        C1_KEY_HEX,  # missing plaintext column
+        f"{C1_KEY_HEX} {C1_PT_HEX},{C1_PT_HEX}",  # two blocks on one line
+    ],
+)
+def test_encrypt_input_bad_line_names_line_number(tmp_path, capsys, bad_line):
+    src = tmp_path / "blocks.txt"
+    src.write_text(f"# demo\n{C1_KEY_HEX} {C1_PT_HEX}\n{bad_line}\n")
+    assert main(["encrypt", "--input", str(src)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "line 3" in captured.err
+
+
+def test_encrypt_empty_input_file(tmp_path, capsys):
+    src = tmp_path / "blocks.txt"
+    src.write_text("# nothing here\n\n")
+    assert main(["encrypt", "--input", str(src)]) == EXIT_USAGE
+    assert "error" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------

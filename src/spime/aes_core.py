@@ -87,7 +87,6 @@ class AesCoreSim:
         self.current_state = IDLE
         self.state_reg = block_to_state(ZERO_BLOCK)
         self.round = 0
-        self.round_keys = _zero_schedule()
         self.done = False
         self.data_out = ZERO_BLOCK
         self.cycle_count = 0
@@ -99,8 +98,7 @@ class AesCoreSim:
         register updates commit together at the end of the call.
         """
         state = self.current_state
-        self.round_keys = list(inputs.round_keys)
-        self.state_reg = datapath(state, self.round, self.state_reg, inputs.data_in, self.round_keys)
+        self.state_reg = datapath(state, self.round, self.state_reg, inputs.data_in, inputs.round_keys)
 
         if state == IDLE:
             self.done = False

@@ -10,6 +10,9 @@ trajectory: the array steps a single shared :class:`PimUnit` for the FSMs
 and handshake, and keeps one datapath state register per unit, advanced
 by :func:`~spime.aes_core.datapath`. :class:`PimUnit` stays the reference
 model: an N-unit run matches N independent unit runs cycle for cycle.
+With tracing on, the array records the shared control signals once per
+cycle and expands them into the N per-unit trace rows only when read, so
+trace memory does not grow with N.
 
 Job file format (one line per unit, '#' comments allowed):
 
@@ -24,7 +27,7 @@ from typing import NamedTuple
 from .aes_core import IDLE, datapath
 from .controller import C_IDLE, PimUnit, UNIT_CYCLES_PER_BLOCK
 from .primitives import (
-    BLOCK_BYTES,
+    BLOCK_BITS,
     NUM_ROUND_KEYS,
     ZERO_BLOCK,
     block_from_hex,
@@ -33,8 +36,6 @@ from .primitives import (
     expand_key,
     state_to_block,
 )
-
-BLOCK_BITS = 8 * BLOCK_BYTES
 
 _ZERO_SCHEDULE = [ZERO_BLOCK] * NUM_ROUND_KEYS
 
@@ -123,7 +124,6 @@ class SpimeArraySim:
     def __init__(self, cfg: SpimeConfig):
         self.cfg = cfg
         self._control = PimUnit()
-        self.trace_rows = []
         self.reset()
 
     def reset(self) -> None:
@@ -131,7 +131,7 @@ class SpimeArraySim:
         self._control.reset()
         self.units = [block_to_state(ZERO_BLOCK)] * self.cfg.num_pims
         self.cycle = 0
-        self.trace_rows = []
+        self._trace = []  # one control record per cycle: TRACE_HEADER minus "unit"
         self._job = None
         self._schedules = None
         self._outputs = None
@@ -189,10 +189,20 @@ class SpimeArraySim:
             round=core.round,
         )
         if self.cfg.trace_enabled:
-            row = [self.cycle, ctrl.state, int(ctrl.aes_start), core.current_state,
-                   core.round, int(core.done), int(ctrl.done)]
-            self.trace_rows.extend([u] + row for u in range(self.cfg.num_pims))
+            self._trace.append((self.cycle, ctrl.state, int(ctrl.aes_start), core.current_state,
+                                core.round, int(core.done), int(ctrl.done)))
         return [observation] * self.cfg.num_pims
+
+    def iter_trace_rows(self):
+        """Yield the trace rows in TRACE_HEADER order: per cycle, one row per unit."""
+        for record in self._trace:
+            for u in range(self.cfg.num_pims):
+                yield [u, *record]
+
+    @property
+    def trace_rows(self) -> list:
+        """All trace rows as a list; :meth:`iter_trace_rows` streams them."""
+        return list(self.iter_trace_rows())
 
     def run_job(self, job: SpimeJob) -> SpimeResult:
         """Run a staged job to completion and collect all ciphertexts."""

@@ -158,7 +158,7 @@ def cmd_simulate(args) -> int:
             _write_lines(None, format_result_lines(job, result))
             print(report, file=sys.stderr)
         if args.trace is not None:
-            _write_csv(args.trace, TRACE_HEADER, array.trace_rows)
+            _write_csv(args.trace, TRACE_HEADER, array.iter_trace_rows())
     except OSError as exc:
         _error(f"cannot write output: {exc}")
         return EXIT_IO
@@ -169,12 +169,22 @@ def cmd_simulate(args) -> int:
 # sweep
 # ---------------------------------------------------------------------------
 
-def cmd_sweep(args) -> int:
+def _load_catalog():
+    """Return (catalog, EXIT_OK), or (None, exit code) after reporting why not."""
     try:
-        catalog = load_device_catalog()
-    except (OSError, KeyError, ValueError) as exc:
-        _error(f"cannot load device catalog: {exc}")
-        return EXIT_IO
+        return load_device_catalog(), EXIT_OK
+    except OSError as exc:
+        _error(f"cannot read device catalog: {exc}")
+        return None, EXIT_IO
+    except ValueError as exc:
+        _error(f"bad device catalog: {exc}")
+        return None, EXIT_USAGE
+
+
+def cmd_sweep(args) -> int:
+    catalog, code = _load_catalog()
+    if catalog is None:
+        return code
 
     if args.figure is not None:
         try:
@@ -229,11 +239,9 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_devices(_args) -> int:
-    try:
-        catalog = load_device_catalog()
-    except (OSError, KeyError, ValueError) as exc:
-        _error(f"cannot load device catalog: {exc}")
-        return EXIT_IO
+    catalog, code = _load_catalog()
+    if catalog is None:
+        return code
     header = f"{'Device':<8} {'Part':<22} {'LUTs':>6} {'FFs':>6} {'BRAM':>5} {'URAM':>5} {'DSPs':>5}"
     print(header)
     print("-" * len(header))

@@ -80,9 +80,9 @@ class PimControllerSim:
 class PimUnit:
     """One controller wired to one core, ticked on a shared clock."""
 
-    def __init__(self, trace_enabled: bool = False):
-        self.ctrl = PimControllerSim(trace_enabled=trace_enabled)
-        self.core = AesCoreSim(trace_enabled=trace_enabled)
+    def __init__(self):
+        self.ctrl = PimControllerSim()
+        self.core = AesCoreSim()
 
     def reset(self) -> None:
         self.ctrl.reset()

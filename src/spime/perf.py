@@ -22,9 +22,12 @@ bounds, so FF percentages are approximate.
 """
 
 import csv
+import math
 import os
 from dataclasses import dataclass
 from importlib import resources
+
+from .primitives import BLOCK_BITS
 
 AGGREGATE = "aggregate"
 PER_UNIT = "per-unit"
@@ -40,6 +43,7 @@ _EMBEDDED_DEVICES = {"ZCU104", "ZCU106"}
 _EMBEDDED_LUT_LIMIT = 1_000_000
 
 CATALOG_ENV_VAR = "SPIME_DEVICE_CATALOG"
+CATALOG_COLUMNS = ("name", "part", "luts", "ffs", "bram", "uram", "dsps")
 
 CSV_HEADER = [
     "device", "num_pims", "fmax_mhz", "block_bits",
@@ -100,10 +104,12 @@ class PerfQuery:
     def __post_init__(self):
         if self.num_pims < 1:
             raise ValueError(f"num_pims must be positive, got {self.num_pims}")
-        if self.fmax_mhz <= 0:
-            raise ValueError(f"fmax_mhz must be positive, got {self.fmax_mhz}")
-        if self.block_bits < 1:
-            raise ValueError(f"block_bits must be positive, got {self.block_bits}")
+        if not 0 < self.fmax_mhz < math.inf:
+            raise ValueError(f"fmax_mhz must be positive and finite, got {self.fmax_mhz}")
+        if self.block_bits < 1 or self.block_bits % BLOCK_BITS:
+            raise ValueError(
+                f"block_bits must be a positive multiple of {BLOCK_BITS}, got {self.block_bits}"
+            )
         if self.cycles_per_task < 1:
             raise ValueError(f"cycles_per_task must be positive, got {self.cycles_per_task}")
 
@@ -118,8 +124,8 @@ class PerfResult:
 
 def latency_us(cycles: int, fmax_mhz: float) -> float:
     """Single-task latency in microseconds: cycles / fmax[MHz]."""
-    if fmax_mhz <= 0:
-        raise ValueError(f"fmax_mhz must be positive, got {fmax_mhz}")
+    if not 0 < fmax_mhz < math.inf:
+        raise ValueError(f"fmax_mhz must be positive and finite, got {fmax_mhz}")
     if cycles < 1:
         raise ValueError(f"cycles must be positive, got {cycles}")
     return cycles / fmax_mhz
@@ -154,7 +160,7 @@ def evaluate(query: PerfQuery, device: DeviceSpec, interpretation: str = AGGREGA
     """Evaluate one operating point into latency/throughput/utilization."""
     lat = latency_us(query.cycles_per_task, query.fmax_mhz)
     if interpretation == AGGREGATE:
-        batch_latency = (query.block_bits / 128.0) * lat
+        batch_latency = (query.block_bits / BLOCK_BITS) * lat
         thr = throughput_gbps(query.num_pims * query.block_bits, batch_latency)
     elif interpretation == PER_UNIT:
         thr = throughput_gbps(query.block_bits, lat)
@@ -208,27 +214,37 @@ def load_device_catalog(path: str = None) -> dict:
 
     Explicit ``path`` wins, then the CATALOG_ENV_VAR environment variable,
     then the built-in file. Returns an ordered name -> DeviceSpec map.
+    Raises ValueError naming the CSV line for a missing column, a
+    non-integer count or a repeated device name.
     """
     if path is None:
         path = os.environ.get(CATALOG_ENV_VAR)
     if path is None:
+        source = "built-in catalog"
         text = resources.files("spime").joinpath("data/devices.csv").read_text()
         lines = text.splitlines()
     else:
+        source = path
         with open(path, newline="") as fh:
             lines = fh.read().splitlines()
+    reader = csv.DictReader(lines)
     catalog = {}
-    for row in csv.DictReader(lines):
-        spec = DeviceSpec(
-            name=row["name"],
-            part=row["part"],
-            luts=int(row["luts"]),
-            ffs=int(row["ffs"]),
-            bram=int(row["bram"]),
-            uram=int(row["uram"]),
-            dsps=int(row["dsps"]),
-        )
-        catalog[spec.name] = spec
+    for row in reader:
+        where = f"{source} line {reader.line_num}"
+        missing = [c for c in CATALOG_COLUMNS if row.get(c) is None]
+        if missing:
+            raise ValueError(f"{where}: missing column(s) {', '.join(missing)}")
+        counts = {}
+        for column in CATALOG_COLUMNS[2:]:
+            try:
+                counts[column] = int(row[column])
+            except ValueError:
+                raise ValueError(
+                    f"{where}: {column} must be an integer, got {row[column]!r}"
+                ) from None
+        if row["name"] in catalog:
+            raise ValueError(f"{where}: duplicate device name {row['name']!r}")
+        catalog[row["name"]] = DeviceSpec(name=row["name"], part=row["part"], **counts)
     return catalog
 
 

@@ -16,6 +16,7 @@ Conventions:
 """
 
 BLOCK_BYTES = 16
+BLOCK_BITS = 8 * BLOCK_BYTES
 NUM_ROUND_KEYS = 11
 SCHEDULE_BYTES = BLOCK_BYTES * NUM_ROUND_KEYS
 

@@ -4,6 +4,7 @@ import csv
 import io
 import pathlib
 import random
+import tracemalloc
 
 import pytest
 
@@ -207,6 +208,28 @@ def test_simulate_trace_csv(tmp_path, capsys):
     assert len(rows) == 1 + 2 * UNIT_CYCLES_PER_BLOCK
 
 
+def _peak_traced_bytes(argv):
+    tracemalloc.start()
+    try:
+        assert main(argv) == EXIT_OK
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_simulate_trace_memory_does_not_grow_with_units(tmp_path, capsys):
+    # 512 units x 2 blocks = 15,360 trace rows; storing them costs megabytes.
+    job_path = tmp_path / "job.txt"
+    write_job(job_path, random.Random(0x55), num_pims=512, blocks_per_unit=2)
+    argv = ["simulate", "--job", str(job_path), "--output", str(tmp_path / "out.txt")]
+    trace_argv = argv + ["--trace", str(tmp_path / "trace.csv")]
+    assert main(trace_argv) == EXIT_OK  # warm-up: lazy imports and caches
+    plain = _peak_traced_bytes(argv)
+    traced = _peak_traced_bytes(trace_argv)
+    capsys.readouterr()
+    assert traced - plain <= 256 * 1024
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
@@ -290,6 +313,22 @@ def test_figure_presets_match_golden_csvs(figure, capsys):
     assert capsys.readouterr().out == golden.read_text()
 
 
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [
+        ("--fmax-mhz", "nan", "fmax_mhz"),
+        ("--fmax-mhz", "inf", "fmax_mhz"),
+        ("--block-bits", "100", "block_bits"),
+    ],
+    ids=["nan", "inf", "block-bits-100"],
+)
+def test_sweep_rejects_values_the_model_cannot_mean(tmp_path, capsys, flag, value, field):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--device", "U55C", flag, value, "--output", str(out)]) == EXIT_USAGE
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_rejects_bad_figure():
     with pytest.raises(SystemExit) as excinfo:
         main(["sweep", "--figure", "9"])
@@ -309,6 +348,39 @@ def test_devices_lists_full_catalog(capsys):
     assert "230K" in out
     for name in ("U55C", "U280", "VCU118", "ZCU104", "ZCU106"):
         assert name in out
+
+
+_CATALOG_HEADER = "name,part,luts,ffs,bram,uram,dsps\n"
+_CATALOG_ROW = "BIG,custom-part,2000000,4000000,100,10,50\n"
+
+
+@pytest.mark.parametrize("argv", [["devices"], ["sweep", "--figure", "6"]])
+@pytest.mark.parametrize(
+    "text, needle",
+    [
+        (_CATALOG_HEADER + _CATALOG_ROW + _CATALOG_ROW, "line 3: duplicate device name 'BIG'"),
+        ("name,part,luts,bram,uram,dsps\nBIG,custom-part,2000000,100,10,50\n",
+         "line 2: missing column(s) ffs"),
+        (_CATALOG_HEADER + _CATALOG_ROW + "SMALL,p,1.5e5,4000,10,10,10\n",
+         "line 3: luts must be an integer"),
+    ],
+    ids=["duplicate-name", "missing-column", "non-integer-count"],
+)
+def test_bad_catalog_is_a_usage_error(tmp_path, monkeypatch, capsys, argv, text, needle):
+    path = tmp_path / "catalog.csv"
+    path.write_text(text)
+    monkeypatch.setenv("SPIME_DEVICE_CATALOG", str(path))
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert needle in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [["devices"], ["sweep", "--figure", "6"]])
+def test_unreadable_catalog_is_an_io_error(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.setenv("SPIME_DEVICE_CATALOG", str(tmp_path / "missing.csv"))
+    assert main(argv) == EXIT_IO
+    assert "device catalog" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

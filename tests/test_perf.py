@@ -55,6 +55,12 @@ def test_latency_rejects_nonpositive_inputs():
         latency_us(0, 100)
 
 
+@pytest.mark.parametrize("fmax", [float("nan"), float("inf")])
+def test_latency_rejects_nonfinite_fmax(fmax):
+    with pytest.raises(ValueError, match="fmax_mhz"):
+        latency_us(11, fmax)
+
+
 def test_latency_independent_of_unit_count(catalog):
     device = catalog["U55C"]
     latencies = {

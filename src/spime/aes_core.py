@@ -131,8 +131,6 @@ def encrypt_block(key: bytes, plaintext: bytes):
     done pulse (the IDLE cycle that consumes the start pulse is excluded)
     and is 11 for every input.
     """
-    check_block(key)
-    check_block(plaintext)
     schedule = expand_key(key)
     core = AesCoreSim()
     core.step(AesCoreInputs(start=True, data_in=plaintext, round_keys=schedule))

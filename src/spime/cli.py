@@ -2,7 +2,9 @@
 emit performance-sweep CSVs, and list the device catalog.
 
 Exit codes: 0 success, 2 usage/configuration error, 3 file I/O error,
-4 verification mismatch.
+4 verification mismatch. Commands raise and :func:`main` alone maps the
+errors: a ``ValueError`` (bad operand, job file, catalog or flag) exits 2
+and an ``OSError`` exits 3. Any other exception is a bug and propagates.
 """
 
 import argparse
@@ -13,8 +15,6 @@ import sys
 from .aes_core import encrypt_block
 from .array_sim import (
     TRACE_HEADER,
-    ConfigError,
-    JobFormatError,
     SpimeConfig,
     build_array,
     format_result_lines,
@@ -24,25 +24,46 @@ from .perf import (
     AGGREGATE,
     CATALOG_ENV_VAR,
     CSV_HEADER,
+    DEFAULT_CYCLES_PER_TASK,
     PER_UNIT,
     PUBLISHED_FMAX_MHZ,
     PUBLISHED_NUM_PIMS,
     PerfQuery,
-    SweepError,
     figure_grid,
     load_device_catalog,
     sweep_csv_rows,
 )
-from .primitives import block_from_hex, reference_encrypt
+from .primitives import BLOCK_BITS, block_from_hex, reference_encrypt
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_VERIFY = 4
 
+# Flags of an explicit sweep grid. They default to None so that a --figure
+# preset, which fixes its own grid, can refuse them.
+GRID_FLAGS = ("num_pims", "fmax_mhz", "block_bits", "device", "cycles_per_task")
 
-def _error(message: str) -> None:
-    print(f"error: {message}", file=sys.stderr)
+
+@contextlib.contextmanager
+def _reading(what):
+    """Name ``what`` in any read or parse error raised inside the block."""
+    try:
+        yield
+    except OSError as exc:
+        raise OSError(f"cannot read {what}: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{what}: {exc}") from None
+
+
+def _read_job(path, blocks_per_unit=None):
+    with _reading(path), open(path, encoding="utf-8") as fh:
+        return parse_job_lines(fh.read().splitlines(), blocks_per_unit)
+
+
+def _load_catalog():
+    with _reading("device catalog"):
+        return load_device_catalog()
 
 
 @contextlib.contextmanager
@@ -72,44 +93,25 @@ def _write_csv(path, header, rows) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_encrypt(args) -> int:
-    if args.input is not None and (args.key or args.plaintext):
-        _error("give either KEY PLAINTEXT or --input, not both")
-        return EXIT_USAGE
-
     if args.input is not None:
-        try:
-            with open(args.input) as fh:
-                job = parse_job_lines(fh.read().splitlines(), blocks_per_unit=1)
-        except OSError as exc:
-            _error(f"cannot read {args.input}: {exc}")
-            return EXIT_IO
-        except JobFormatError as exc:
-            _error(f"{args.input}: {exc}")
-            return EXIT_USAGE
+        if args.key or args.plaintext:
+            raise ValueError("give either KEY PLAINTEXT or --input, not both")
+        job = _read_job(args.input, blocks_per_unit=1)
         operands = [(key, blocks[0]) for key, blocks in zip(job.keys, job.inputs)]
     elif args.key and args.plaintext:
-        try:
-            operands = [(block_from_hex(args.key), block_from_hex(args.plaintext))]
-        except ValueError as exc:
-            _error(str(exc))
-            return EXIT_USAGE
+        operands = [(block_from_hex(args.key), block_from_hex(args.plaintext))]
     else:
-        _error("KEY and PLAINTEXT hex operands (or --input FILE) are required")
-        return EXIT_USAGE
+        raise ValueError("KEY and PLAINTEXT hex operands (or --input FILE) are required")
 
     out_lines = []
     for key, plaintext in operands:
         ciphertext, _cycles = encrypt_block(key, plaintext)
         if args.verify and ciphertext != reference_encrypt(key, plaintext):
-            _error(f"{plaintext.hex()}: FSM ciphertext disagrees with the composition oracle")
+            print(f"error: {plaintext.hex()}: FSM ciphertext disagrees with the composition "
+                  "oracle", file=sys.stderr)
             return EXIT_VERIFY
         out_lines.append(ciphertext.hex())
-
-    try:
-        _write_lines(args.output, out_lines)
-    except OSError as exc:
-        _error(f"cannot write {args.output}: {exc}")
-        return EXIT_IO
+    _write_lines(args.output, out_lines)
     return EXIT_OK
 
 
@@ -118,50 +120,24 @@ def cmd_encrypt(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
-    try:
-        with open(args.job) as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        _error(f"cannot read {args.job}: {exc}")
-        return EXIT_IO
+    job = _read_job(args.job)
+    cfg = SpimeConfig(
+        num_pims=len(job.keys) if args.num_pims is None else args.num_pims,
+        per_pim_block_bits=len(job.inputs[0]) * BLOCK_BITS,
+        trace_enabled=args.trace is not None,
+    )
+    array = build_array(cfg)
+    result = array.run_job(job)
 
-    try:
-        job = parse_job_lines(lines)
-    except JobFormatError as exc:
-        _error(f"{args.job}: {exc}")
-        return EXIT_USAGE
-
-    num_pims = args.num_pims if args.num_pims is not None else len(job.keys)
-    blocks_per_unit = len(job.inputs[0])
-    try:
-        cfg = SpimeConfig(
-            num_pims=num_pims,
-            per_pim_block_bits=blocks_per_unit * 128,
-            trace_enabled=args.trace is not None,
-        )
-        array = build_array(cfg)
-        result = array.run_job(job)
-    except ConfigError as exc:
-        _error(str(exc))
-        return EXIT_USAGE
-
-    report = (
+    _write_lines(args.output, format_result_lines(job, result))
+    print(
         f"num_pims={cfg.num_pims} blocks_per_unit={cfg.blocks_per_unit} "
         f"total_cycles={result.total_cycles} "
-        f"per_block_cycles={result.total_cycles // cfg.blocks_per_unit}"
+        f"per_block_cycles={result.total_cycles // cfg.blocks_per_unit}",
+        file=sys.stderr if args.output is None else sys.stdout,
     )
-    try:
-        if args.output is not None:
-            _write_lines(args.output, format_result_lines(job, result))
-            print(report)
-        else:
-            _write_lines(None, format_result_lines(job, result))
-            print(report, file=sys.stderr)
-        if args.trace is not None:
-            _write_csv(args.trace, TRACE_HEADER, array.iter_trace_rows())
-    except OSError as exc:
-        _error(f"cannot write output: {exc}")
-        return EXIT_IO
+    if args.trace is not None:
+        _write_csv(args.trace, TRACE_HEADER, array.iter_trace_rows())
     return EXIT_OK
 
 
@@ -169,68 +145,34 @@ def cmd_simulate(args) -> int:
 # sweep
 # ---------------------------------------------------------------------------
 
-def _load_catalog():
-    """Return (catalog, EXIT_OK), or (None, exit code) after reporting why not."""
-    try:
-        return load_device_catalog(), EXIT_OK
-    except OSError as exc:
-        _error(f"cannot read device catalog: {exc}")
-        return None, EXIT_IO
-    except ValueError as exc:
-        _error(f"bad device catalog: {exc}")
-        return None, EXIT_USAGE
-
-
 def cmd_sweep(args) -> int:
-    catalog, code = _load_catalog()
-    if catalog is None:
-        return code
+    if args.figure is not None:
+        given = [f"--{name.replace('_', '-')}" for name in GRID_FLAGS
+                 if getattr(args, name) is not None]
+        if given:
+            raise ValueError(f"--figure fixes its own grid; drop {', '.join(given)}")
+    catalog = _load_catalog()
 
     if args.figure is not None:
-        try:
-            pairs, interpretation = figure_grid(args.figure, catalog)
-        except ValueError as exc:
-            _error(str(exc))
-            return EXIT_USAGE
-        if args.per_unit:
-            interpretation = PER_UNIT
+        pairs, interpretation = figure_grid(args.figure, catalog)
     else:
-        names = args.device if args.device else list(catalog)
+        names = args.device or list(catalog)
         unknown = [n for n in names if n not in catalog]
         if unknown:
-            _error(f"unknown device(s): {', '.join(unknown)}")
-            return EXIT_USAGE
-        try:
-            pairs = [
-                (
-                    PerfQuery(
-                        num_pims=n,
-                        fmax_mhz=f,
-                        block_bits=b,
-                        cycles_per_task=args.cycles_per_task,
-                    ),
-                    catalog[name],
-                )
-                for name in names
-                for n in args.num_pims
-                for f in args.fmax_mhz
-                for b in args.block_bits
-            ]
-        except ValueError as exc:
-            _error(str(exc))
-            return EXIT_USAGE
-        interpretation = PER_UNIT if args.per_unit else AGGREGATE
+            raise ValueError(f"unknown device(s): {', '.join(unknown)}")
+        cycles = DEFAULT_CYCLES_PER_TASK if args.cycles_per_task is None else args.cycles_per_task
+        pairs = [
+            (PerfQuery(num_pims=n, fmax_mhz=f, block_bits=b, cycles_per_task=cycles), catalog[name])
+            for name in names
+            for n in args.num_pims or PUBLISHED_NUM_PIMS
+            for f in args.fmax_mhz or [float(f) for f in PUBLISHED_FMAX_MHZ]
+            for b in args.block_bits or [1024]
+        ]
+        interpretation = AGGREGATE
+    if args.per_unit:
+        interpretation = PER_UNIT
 
-    try:
-        rows = sweep_csv_rows(pairs, interpretation)
-    except SweepError as exc:
-        _error(str(exc))
-        return EXIT_USAGE
-    try:
-        _write_csv(args.output, CSV_HEADER, rows)
-    except OSError as exc:
-        _error(f"cannot write {args.output}: {exc}")
-        return EXIT_IO
+    _write_csv(args.output, CSV_HEADER, sweep_csv_rows(pairs, interpretation))
     return EXIT_OK
 
 
@@ -239,9 +181,7 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_devices(_args) -> int:
-    catalog, code = _load_catalog()
-    if catalog is None:
-        return code
+    catalog = _load_catalog()
     header = f"{'Device':<8} {'Part':<22} {'LUTs':>6} {'FFs':>6} {'BRAM':>5} {'URAM':>5} {'DSPs':>5}"
     print(header)
     print("-" * len(header))
@@ -286,14 +226,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="emit performance-model CSV over a parameter grid")
     p_sweep.add_argument("--figure", type=int, choices=[3, 4, 5, 6, 7],
-                         help="emit a published figure's exact data grid")
-    p_sweep.add_argument("--num-pims", type=int, nargs="+", default=PUBLISHED_NUM_PIMS)
-    p_sweep.add_argument("--fmax-mhz", type=float, nargs="+", default=[float(f) for f in PUBLISHED_FMAX_MHZ])
-    p_sweep.add_argument("--block-bits", type=int, nargs="+", default=[1024])
+                         help="emit a published figure's exact data grid (no grid flags)")
+    p_sweep.add_argument("--num-pims", type=int, nargs="+")
+    p_sweep.add_argument("--fmax-mhz", type=float, nargs="+")
+    p_sweep.add_argument("--block-bits", type=int, nargs="+")
     p_sweep.add_argument("--device", nargs="+", help="device names (default: whole catalog)")
-    p_sweep.add_argument("--cycles-per-task", type=int, default=11,
-                         help="analytical cycles per block (11; use 15 for the "
-                         "measured handshake-inclusive constant)")
+    p_sweep.add_argument("--cycles-per-task", type=int,
+                         help=f"analytical cycles per block ({DEFAULT_CYCLES_PER_TASK}; use 15 "
+                         "for the measured handshake-inclusive constant)")
     p_sweep.add_argument("--per-unit", action="store_true",
                          help="report per-unit throughput instead of aggregate")
     p_sweep.add_argument("--output", help="write the CSV here instead of stdout")
@@ -307,7 +247,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE if isinstance(exc, ValueError) else EXIT_IO
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ bounds, so FF percentages are approximate.
 import csv
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 
 from .primitives import BLOCK_BITS
@@ -74,17 +74,16 @@ class DeviceSpec:
     bram: int
     uram: int
     dsps: int
-    per_pim_lut_cost: float = 0.0
-    per_pim_ff_cost: float = 0.0
+    per_pim_lut_cost: float = field(init=False)
+    per_pim_ff_cost: float = field(init=False)
 
     def __post_init__(self):
         for label in ("luts", "ffs", "bram", "uram", "dsps"):
             if getattr(self, label) <= 0:
                 raise ValueError(f"{self.name}: {label} must be positive")
-        if self.per_pim_lut_cost <= 0.0 or self.per_pim_ff_cost <= 0.0:
-            lut_pct, ff_pct = self._anchors()
-            self.per_pim_lut_cost = self.luts * lut_pct / 100.0 / ANCHOR_NUM_PIMS
-            self.per_pim_ff_cost = self.ffs * ff_pct / 100.0 / ANCHOR_NUM_PIMS
+        lut_pct, ff_pct = self._anchors()
+        self.per_pim_lut_cost = self.luts * lut_pct / 100.0 / ANCHOR_NUM_PIMS
+        self.per_pim_ff_cost = self.ffs * ff_pct / 100.0 / ANCHOR_NUM_PIMS
 
     def _anchors(self):
         if self.name in _EMBEDDED_DEVICES or self.luts < _EMBEDDED_LUT_LIMIT:
@@ -214,8 +213,9 @@ def load_device_catalog(path: str = None) -> dict:
 
     Explicit ``path`` wins, then the CATALOG_ENV_VAR environment variable,
     then the built-in file. Returns an ordered name -> DeviceSpec map.
-    Raises ValueError naming the CSV line for a missing column, a
-    non-integer count or a repeated device name.
+    Raises ValueError naming the CSV line for a malformed line, a missing
+    column, a non-integer count or a repeated device name; a file that is
+    not UTF-8 raises UnicodeDecodeError, also a ValueError.
     """
     if path is None:
         path = os.environ.get(CATALOG_ENV_VAR)
@@ -225,12 +225,16 @@ def load_device_catalog(path: str = None) -> dict:
         lines = text.splitlines()
     else:
         source = path
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
     reader = csv.DictReader(lines)
+    try:
+        rows = [(reader.line_num, row) for row in reader]
+    except csv.Error as exc:
+        raise ValueError(f"{source} line {reader.reader.line_num}: {exc}") from None
     catalog = {}
-    for row in reader:
-        where = f"{source} line {reader.line_num}"
+    for line_num, row in rows:
+        where = f"{source} line {line_num}"
         missing = [c for c in CATALOG_COLUMNS if row.get(c) is None]
         if missing:
             raise ValueError(f"{where}: missing column(s) {', '.join(missing)}")

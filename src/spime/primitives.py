@@ -21,6 +21,7 @@ NUM_ROUND_KEYS = 11
 SCHEDULE_BYTES = BLOCK_BYTES * NUM_ROUND_KEYS
 
 ZERO_BLOCK = bytes(BLOCK_BYTES)
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 # Rijndael S-box (forward only; decryption is out of scope).
 SBOX = [
@@ -51,14 +52,14 @@ RCON = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36]
 # ---------------------------------------------------------------------------
 
 def block_from_hex(text: str) -> bytes:
-    """Parse a 32-hex-char string into a 16-byte block."""
+    """Parse exactly 32 hex digits (surrounding whitespace aside) into a 16-byte block."""
     text = text.strip()
     if len(text) != 2 * BLOCK_BYTES:
         raise ValueError(f"block hex must be {2 * BLOCK_BYTES} chars, got {len(text)}")
-    try:
-        return bytes.fromhex(text)
-    except ValueError:
-        raise ValueError(f"invalid block hex: {text!r}") from None
+    # bytes.fromhex alone would skip inner whitespace and return a short block.
+    if not _HEX_DIGITS.issuperset(text):
+        raise ValueError(f"invalid block hex: {text!r}")
+    return bytes.fromhex(text)
 
 
 def block_to_hex(block: bytes) -> str:

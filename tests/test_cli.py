@@ -7,6 +7,8 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from spime.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from spime.controller import UNIT_CYCLES_PER_BLOCK
@@ -397,3 +399,109 @@ def test_missing_subcommand_is_an_error():
     with pytest.raises(SystemExit) as excinfo:
         main([])
     assert excinfo.value.code == EXIT_USAGE
+
+
+# ---------------------------------------------------------------------------
+# error paths: undecodable files, spaced hex, --figure with grid flags
+# ---------------------------------------------------------------------------
+
+_NOT_UTF8 = b"\xff\xfe caf\xe9 " + C1_KEY_HEX.encode() + b"\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["simulate", "--job"], ["encrypt", "--input"]],
+    ids=["simulate-job", "encrypt-input"],
+)
+def test_undecodable_input_file_is_a_usage_error(tmp_path, capsys, argv):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(_NOT_UTF8)
+    assert main(argv + [str(path)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(path) in captured.err
+
+
+def test_encrypt_rejects_spaced_hex_operand(capsys):
+    spaced = "00 11 2233445566778899aabbccddee"  # 32 chars, only 15 bytes
+    assert main(["encrypt", spaced, C1_PT_HEX]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid block hex" in captured.err
+
+
+@pytest.mark.parametrize(
+    "flag, values",
+    [
+        ("--num-pims", ["7"]),
+        ("--fmax-mhz", ["250"]),
+        ("--block-bits", ["2048"]),
+        ("--device", ["U55C"]),
+        ("--cycles-per-task", ["15"]),
+    ],
+)
+def test_sweep_figure_rejects_grid_flags(tmp_path, capsys, flag, values):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--figure", "6", flag, *values, "--output", str(out)]) == EXIT_USAGE
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_figure_accepts_per_unit(capsys):
+    rows = _sweep_rows(capsys, ["sweep", "--figure", "6", "--per-unit"])
+    assert float(rows[-1][5]) == pytest.approx(1024 / 0.022 / 1e6, rel=1e-3)
+
+
+# ---------------------------------------------------------------------------
+# property: any bytes in an input file give exit 0 or 2, never a traceback
+# ---------------------------------------------------------------------------
+
+def _file_bytes(lines, pieces):
+    """Arbitrary bytes, whole valid lines, or text spliced from lines and pieces."""
+    def text(parts):
+        return st.lists(st.sampled_from(parts), max_size=24).map(lambda p: "".join(p).encode())
+    return st.one_of(st.binary(max_size=300), text(lines), text(lines + pieces))
+
+
+_JOB_LINES = [f"{C1_KEY_HEX} {C1_PT_HEX}\n", f"{C1_KEY_HEX} {C1_PT_HEX},{C1_PT_HEX}\n", "# c\n"]
+_JOB_PIECES = [C1_KEY_HEX, C1_PT_HEX, C1_PT_HEX[:30], " ", "\t", ",", "\n", "\r\n", "#",
+               "zz", "0", " 00 11", "\x00", "\x85", "\u3000", "é"]
+_CATALOG_LINES = [_CATALOG_HEADER, _CATALOG_ROW, "ZCU1,p,1000,2000,1,1,1\n"]
+_CATALOG_PIECES = [",", "\n", '"', "name", "-1", "0", "1e3", "BIG", "\x00", "é", "\r"]
+_PROPERTY = settings(max_examples=60, deadline=None,
+                     suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _assert_exit_0_or_2(capsys, argv):
+    capsys.readouterr()
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code in (EXIT_OK, EXIT_USAGE), captured.err
+    if code == EXIT_USAGE:
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+
+@_PROPERTY
+@given(data=_file_bytes(_JOB_LINES, _JOB_PIECES))
+def test_any_job_file_exits_0_or_2(tmp_path, capsys, data):
+    path = tmp_path / "job.txt"
+    path.write_bytes(data)
+    _assert_exit_0_or_2(capsys, ["simulate", "--job", str(path)])
+
+
+@_PROPERTY
+@given(data=_file_bytes(_JOB_LINES, _JOB_PIECES))
+def test_any_encrypt_input_file_exits_0_or_2(tmp_path, capsys, data):
+    path = tmp_path / "blocks.txt"
+    path.write_bytes(data)
+    _assert_exit_0_or_2(capsys, ["encrypt", "--input", str(path)])
+
+
+@_PROPERTY
+@given(data=_file_bytes(_CATALOG_LINES, _CATALOG_PIECES))
+def test_any_device_catalog_exits_0_or_2(tmp_path, monkeypatch, capsys, data):
+    path = tmp_path / "catalog.csv"
+    path.write_bytes(data)
+    monkeypatch.setenv("SPIME_DEVICE_CATALOG", str(path))
+    _assert_exit_0_or_2(capsys, ["devices"])

@@ -306,3 +306,18 @@ def test_analytical_cycle_count_matches_simulator():
     for _ in range(25):
         _, cycles = encrypt_block(rng.randbytes(16), rng.randbytes(16))
         assert cycles == DEFAULT_CYCLES_PER_TASK
+
+
+def test_per_pim_costs_are_derived_not_set():
+    spec = DeviceSpec(name="X", part="p", luts=2_000_000, ffs=4_000_000, bram=1, uram=1, dsps=1)
+    assert spec.per_pim_lut_cost == pytest.approx(2_000_000 * 3.65 / 100 / 4096)
+    assert spec.per_pim_ff_cost == pytest.approx(4_000_000 * 2.0 / 100 / 4096)
+    with pytest.raises(TypeError):
+        DeviceSpec(name="X", part="p", luts=1, ffs=1, bram=1, uram=1, dsps=1, per_pim_lut_cost=1.0)
+
+
+def test_malformed_catalog_csv_is_a_value_error(tmp_path):
+    path = tmp_path / "catalog.csv"
+    path.write_text("name,part,luts,ffs,bram,uram,dsps\n" + "x" * (csv.field_size_limit() + 1) + "\n")
+    with pytest.raises(ValueError, match="line 2"):
+        load_device_catalog(str(path))

@@ -323,3 +323,17 @@ class TestSubBytesPacket:
         mod.reset()
         assert mod.temp_data == ZERO_BLOCK
         assert not mod.output_valid
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "00 11 2233445566778899aabbccddee",  # 32 chars, 30 digits: 15 bytes
+        "00112233445566778899aabbccdd\t\tee",
+        "0011223344556677\r\n8899aabbccddee",
+    ],
+)
+def test_block_from_hex_rejects_inner_whitespace(text):
+    assert len(text) == 32
+    with pytest.raises(ValueError):
+        block_from_hex(text)

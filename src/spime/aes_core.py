@@ -14,18 +14,7 @@ IDLE cycle.
 
 from dataclasses import dataclass, field
 
-from .primitives import (
-    NUM_ROUND_KEYS,
-    ZERO_BLOCK,
-    add_round_key,
-    block_to_state,
-    check_block,
-    expand_key,
-    mix_columns,
-    shift_rows,
-    state_to_block,
-    sub_bytes,
-)
+from .primitives import NUM_ROUND_KEYS, ZERO_BLOCK, block_round, check_block, expand_key, xor_blocks
 
 IDLE = "IDLE"
 INIT = "INIT"
@@ -60,17 +49,18 @@ class AesCoreInputs:
             raise ValueError(f"round_keys must carry {NUM_ROUND_KEYS} keys")
 
 
-def datapath(state: str, rnd: int, state_reg: list, data_in: bytes, round_keys: list) -> list:
+def datapath(state: str, rnd: int, state_reg: bytes, data_in: bytes, round_keys: list) -> bytes:
     """Next state register of a core executing ``state`` at round counter ``rnd``.
 
-    Shared by :class:`AesCoreSim` and the lockstep array's per-unit registers.
+    The register holds the AES state in block form. Shared by
+    :class:`AesCoreSim` and the lockstep array's per-unit registers.
     """
-    if state == INIT:
-        return add_round_key(block_to_state(data_in), round_keys[0])
     if state == ROUND:
-        return add_round_key(mix_columns(shift_rows(sub_bytes(state_reg))), round_keys[rnd + 1])
+        return block_round(state_reg, round_keys[rnd + 1])
+    if state == INIT:
+        return xor_blocks(data_in, round_keys[0])
     if state == FINAL:
-        return add_round_key(shift_rows(sub_bytes(state_reg)), round_keys[10])
+        return block_round(state_reg, round_keys[10], final=True)
     return state_reg
 
 
@@ -85,7 +75,7 @@ class AesCoreSim:
     def reset(self) -> None:
         """Synchronous reset: clear the state machine, counters and outputs."""
         self.current_state = IDLE
-        self.state_reg = block_to_state(ZERO_BLOCK)
+        self.state_reg = ZERO_BLOCK
         self.round = 0
         self.done = False
         self.data_out = ZERO_BLOCK
@@ -112,7 +102,7 @@ class AesCoreSim:
             # 9 full rounds total: leave once the counter reaches 9.
             self.current_state = FINAL if self.round == 9 else ROUND
         elif state == FINAL:
-            self.data_out = state_to_block(self.state_reg)
+            self.data_out = self.state_reg
             self.done = True
             self.current_state = IDLE
         else:

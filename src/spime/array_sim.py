@@ -7,9 +7,10 @@ unit has begun its last block and collects one ciphertext per done pulse.
 
 Timing does not depend on data, so all units follow one control
 trajectory: the array steps a single shared :class:`PimUnit` for the FSMs
-and handshake, and keeps one datapath state register per unit, advanced
-by :func:`~spime.aes_core.datapath`. :class:`PimUnit` stays the reference
-model: an N-unit run matches N independent unit runs cycle for cycle.
+and handshake, and keeps one datapath state register per unit (a 16-byte
+block), advanced by :func:`~spime.aes_core.datapath`. :class:`PimUnit`
+stays the reference model: an N-unit run matches N independent unit runs
+cycle for cycle.
 With tracing on, the array records the shared control signals once per
 cycle and expands them into the N per-unit trace rows only when read, so
 trace memory does not grow with N.
@@ -31,10 +32,8 @@ from .primitives import (
     NUM_ROUND_KEYS,
     ZERO_BLOCK,
     block_from_hex,
-    block_to_state,
     check_block,
     expand_key,
-    state_to_block,
 )
 
 _ZERO_SCHEDULE = [ZERO_BLOCK] * NUM_ROUND_KEYS
@@ -129,7 +128,7 @@ class SpimeArraySim:
     def reset(self) -> None:
         """Global reset: control to IDLE, registers, cycle counter and job cleared."""
         self._control.reset()
-        self.units = [block_to_state(ZERO_BLOCK)] * self.cfg.num_pims
+        self.units = [ZERO_BLOCK] * self.cfg.num_pims
         self.cycle = 0
         self._trace = []  # one control record per cycle: TRACE_HEADER minus "unit"
         self._job = None
@@ -141,7 +140,10 @@ class SpimeArraySim:
         """Validate a job against the config and stage it for ticking."""
         job.validate(self.cfg)
         self._job = job
-        self._schedules = [expand_key(k) for k in job.keys]
+        # Units that share a key share its schedule: expand each distinct key once.
+        keys = [bytes(key) for key in job.keys]
+        schedules = {key: expand_key(key) for key in set(keys)}
+        self._schedules = [schedules[key] for key in keys]
         self._outputs = [[] for _ in range(self.cfg.num_pims)]
         self._started = 0
 
@@ -178,7 +180,7 @@ class SpimeArraySim:
             self._started += 1
         if ctrl.done:
             for out, reg in zip(self._outputs, self.units):
-                out.append(state_to_block(reg))
+                out.append(reg)
 
         observation = UnitObservation(
             ctrl_state=ctrl.state,

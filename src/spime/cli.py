@@ -130,14 +130,15 @@ def cmd_simulate(args) -> int:
     result = array.run_job(job)
 
     _write_lines(args.output, format_result_lines(job, result))
+    if args.trace is not None:
+        _write_csv(args.trace, TRACE_HEADER, array.iter_trace_rows())
+    # Report success only once every output is written.
     print(
         f"num_pims={cfg.num_pims} blocks_per_unit={cfg.blocks_per_unit} "
         f"total_cycles={result.total_cycles} "
         f"per_block_cycles={result.total_cycles // cfg.blocks_per_unit}",
         file=sys.stderr if args.output is None else sys.stdout,
     )
-    if args.trace is not None:
-        _write_csv(args.trace, TRACE_HEADER, array.iter_trace_rows())
     return EXIT_OK
 
 

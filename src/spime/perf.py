@@ -214,8 +214,9 @@ def load_device_catalog(path: str = None) -> dict:
     Explicit ``path`` wins, then the CATALOG_ENV_VAR environment variable,
     then the built-in file. Returns an ordered name -> DeviceSpec map.
     Raises ValueError naming the CSV line for a malformed line, a missing
-    column, a non-integer count or a repeated device name; a file that is
-    not UTF-8 raises UnicodeDecodeError, also a ValueError.
+    column, a non-integer count, a count too large for a float or a
+    repeated device name; a file that is not UTF-8 raises
+    UnicodeDecodeError, also a ValueError.
     """
     if path is None:
         path = os.environ.get(CATALOG_ENV_VAR)
@@ -248,7 +249,10 @@ def load_device_catalog(path: str = None) -> dict:
                 ) from None
         if row["name"] in catalog:
             raise ValueError(f"{where}: duplicate device name {row['name']!r}")
-        catalog[row["name"]] = DeviceSpec(name=row["name"], part=row["part"], **counts)
+        try:
+            catalog[row["name"]] = DeviceSpec(name=row["name"], part=row["part"], **counts)
+        except OverflowError:
+            raise ValueError(f"{where}: resource counts too large for the model") from None
     return catalog
 
 

@@ -5,15 +5,29 @@ matrices, and 128-bit blocks. The only stateful object is
 :class:`SubBytesPacket`, which models the packet-gated substitution
 module's single data latch.
 
+The cipher is coded twice. :func:`block_round` is the simulator's
+datapath: it works on the state in block form and on one 128-bit int.
+The list-of-lists transforms (:func:`sub_bytes`, :func:`shift_rows`,
+:func:`mix_columns`, :func:`add_round_key`) compose into
+:func:`reference_encrypt`, the oracle the block round is checked
+against. Both share :data:`SBOX` and :func:`expand_key`.
+
 Conventions:
   * A 128-bit block is ``bytes`` of length 16 (hex form: 32 lowercase chars,
     byte 0 first).
-  * The state is a 4x4 list of byte rows, indexed ``state[row][col]``, with
-    the column-major block mapping ``block[4*col + row] == state[row][col]``.
+  * The state in block form is the block itself, column-major: byte
+    ``4*col + row`` holds state entry (row, col). As a big-endian 128-bit
+    int, column ``c`` is the 32-bit word ``c`` counted from the top, with
+    row 0 in its most significant byte.
+  * The state in list form is a 4x4 list of byte rows, indexed
+    ``state[row][col]``, so ``block[4*col + row] == state[row][col]``.
   * A round-key schedule is a list of 11 blocks, ``keys[0]`` being the
     cipher key; its flat form is the 176-byte concatenation ``keys[0] ..
     keys[10]`` (352 hex chars).
 """
+
+import struct
+from operator import itemgetter
 
 BLOCK_BYTES = 16
 BLOCK_BITS = 8 * BLOCK_BYTES
@@ -42,6 +56,8 @@ SBOX = [
     0xE1, 0xF8, 0x98, 0x11, 0x69, 0xD9, 0x8E, 0x94, 0x9B, 0x1E, 0x87, 0xE9, 0xCE, 0x55, 0x28, 0xDF,
     0x8C, 0xA1, 0x89, 0x0D, 0xBF, 0xE6, 0x42, 0x68, 0x41, 0x99, 0x2D, 0x0F, 0xB0, 0x54, 0xBB, 0x16,
 ]
+
+SBOX_BYTES = bytes(SBOX)
 
 # Round constants for the key-expansion word recurrence (first word of each).
 RCON = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36]
@@ -147,28 +163,65 @@ def mix_columns(state: list) -> list:
     return out
 
 
+# ShiftRows in block form: out[4c + r] = in[4((c + r) % 4) + r].
+_BLOCK_SHIFT_ROWS = itemgetter(*[4 * ((c + r) % 4) + r for c in range(4) for r in range(4)])
+# Multiplying a 32-bit mask by _EACH_WORD repeats it in all four column words.
+_EACH_WORD = 0x00000001_00000001_00000001_00000001
+_HI24, _LO8 = 0xFFFFFF00 * _EACH_WORD, 0x000000FF * _EACH_WORD
+_HI16, _LO16 = 0xFFFF0000 * _EACH_WORD, 0x0000FFFF * _EACH_WORD
+_LOW7, _LSB = 0x7F7F7F7F * _EACH_WORD, 0x01010101 * _EACH_WORD
+
+
+def block_round(block: bytes, round_key: bytes, final: bool = False) -> bytes:
+    """One AES round on a block-form state; the final round skips MixColumns.
+
+    SubBytes is one ``translate`` and ShiftRows one index permutation.
+    MixColumns mixes all four columns at once on the 128-bit int: with
+    ``rot8``/``rot16`` rotating every column word left by one/two bytes,
+    row r of a column becomes ``2(s_r ^ s_r+1) ^ s_r ^ (s_0 ^ s_1 ^ s_2 ^ s_3)``
+    (Daemen & Rijmen, *The Design of Rijndael*, 2002, section 4.1).
+    """
+    x = int.from_bytes(_BLOCK_SHIFT_ROWS(block.translate(SBOX_BYTES)), "big")
+    if not final:
+        pair = x ^ ((x << 8) & _HI24) ^ ((x >> 24) & _LO8)  # x ^ rot8(x)
+        half = x ^ ((x << 16) & _HI16) ^ ((x >> 16) & _LO16)  # x ^ rot16(x)
+        column = half ^ ((half << 8) & _HI24) ^ ((half >> 24) & _LO8)  # XOR of the column
+        x ^= ((pair & _LOW7) << 1) ^ ((pair >> 7) & _LSB) * 0x1B ^ column  # xtime(pair)
+    return (x ^ int.from_bytes(round_key, "big")).to_bytes(BLOCK_BYTES, "big")
+
+
+def xor_blocks(a: bytes, b: bytes) -> bytes:
+    """AddRoundKey in block form: the bytewise XOR of two blocks."""
+    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(BLOCK_BYTES, "big")
+
+
 def add_round_key(state: list, round_key: bytes) -> list:
     """XOR the state with a round key (key mapped column-major like blocks)."""
     check_block(round_key)
     return [[state[r][c] ^ round_key[4 * c + r] for c in range(4)] for r in range(4)]
 
 
+_ROUND_KEY_WORDS = struct.Struct(">4I")
+
+
 def expand_key(key: bytes) -> list:
     """Expand a 128-bit cipher key into the 11 round keys.
 
-    Word recurrence: every 4th word applies RotWord, SubWord and the round
-    constant; the rest XOR the previous word with the word 4 back.
+    Word recurrence on 32-bit ints: every 4th word applies RotWord, SubWord
+    and the round constant; the rest XOR the previous word with the word 4
+    back.
     """
     check_block(key)
-    words = [list(key[4 * i:4 * i + 4]) for i in range(4)]
-    for i in range(4, 44):
-        prev = words[i - 1]
-        if i % 4 == 0:
-            rotated = prev[1:] + prev[:1]
-            prev = [SBOX[b] for b in rotated]
-            prev[0] ^= RCON[i // 4 - 1]
-        words.append([a ^ b for a, b in zip(words[i - 4], prev)])
-    return [bytes(b for w in words[4 * k:4 * k + 4] for b in w) for k in range(NUM_ROUND_KEYS)]
+    w0, w1, w2, w3 = _ROUND_KEY_WORDS.unpack(key)
+    keys = [bytes(key)]
+    for rcon in RCON:
+        rotated = ((w3 << 8) | (w3 >> 24)) & 0xFFFFFFFF
+        w0 ^= int.from_bytes(rotated.to_bytes(4, "big").translate(SBOX_BYTES), "big") ^ (rcon << 24)
+        w1 ^= w0
+        w2 ^= w1
+        w3 ^= w2
+        keys.append(_ROUND_KEY_WORDS.pack(w0, w1, w2, w3))
+    return keys
 
 
 def reference_encrypt(key: bytes, plaintext: bytes) -> bytes:

@@ -6,6 +6,8 @@ shift-and-reduce multiplier, so a shared bug with the package under
 test is not possible.
 """
 
+import functools
+
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 # FIPS-197 single-block test vectors (Appendix B and Appendix C.1).
@@ -59,3 +61,41 @@ def mix_columns_oracle(state):
                 acc ^= gf_mul(_MIX_MATRIX[r][k], state[k][c])
             out[r][c] = acc
     return out
+
+
+def _gf_inverse(a: int) -> int:
+    """Multiplicative inverse in GF(2^8) by exhaustive search (0 maps to 0)."""
+    return next((b for b in range(1, 256) if gf_mul(a, b) == 1), 0)
+
+
+def _sbox_entry(a: int) -> int:
+    b = _gf_inverse(a)
+    out = 0x63
+    for shift in range(5):
+        out ^= ((b << shift) | (b >> (8 - shift))) & 0xFF
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def sbox_oracle() -> tuple:
+    """The AES S-box from its definition: GF(2^8) inverse, then the affine map."""
+    return tuple(_sbox_entry(a) for a in range(256))
+
+
+def expand_key_oracle(key: bytes) -> list:
+    """AES-128 key expansion as the FIPS-197 word recurrence on lists of bytes.
+
+    The S-box and the round constants are computed here from their
+    definitions, so nothing is shared with spime's tables.
+    """
+    sbox = sbox_oracle()
+    words = [list(key[4 * i:4 * i + 4]) for i in range(4)]
+    rcon = 1
+    for i in range(4, 44):
+        prev = words[i - 1]
+        if i % 4 == 0:
+            prev = [sbox[b] for b in prev[1:] + prev[:1]]
+            prev[0] ^= rcon
+            rcon = gf_mul(rcon, 2)
+        words.append([a ^ b for a, b in zip(words[i - 4], prev)])
+    return [bytes(b for w in words[4 * k:4 * k + 4] for b in w) for k in range(11)]

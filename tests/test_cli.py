@@ -232,6 +232,15 @@ def test_simulate_trace_memory_does_not_grow_with_units(tmp_path, capsys):
     assert traced - plain <= 256 * 1024
 
 
+def test_simulate_reports_success_only_after_the_trace_is_written(tmp_path, capsys):
+    job_path = tmp_path / "job.txt"
+    write_job(job_path, random.Random(0x56), num_pims=1, blocks_per_unit=1)
+    argv = ["simulate", "--job", str(job_path), "--output", str(tmp_path / "r.out"),
+            "--trace", str(tmp_path)]  # a directory: the trace cannot be opened
+    assert main(argv) == EXIT_IO
+    assert "num_pims=" not in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
@@ -383,6 +392,16 @@ def test_unreadable_catalog_is_an_io_error(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.setenv("SPIME_DEVICE_CATALOG", str(tmp_path / "missing.csv"))
     assert main(argv) == EXIT_IO
     assert "device catalog" in capsys.readouterr().err
+
+
+def test_catalog_count_too_large_for_a_float_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "catalog.csv"
+    path.write_text(_CATALOG_HEADER + f"BIG,custom-part,{'9' * 400},4000000,100,10,50\n")
+    monkeypatch.setenv("SPIME_DEVICE_CATALOG", str(path))
+    assert main(["devices"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "line 2: " in captured.err
+    assert captured.out == ""
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,7 @@ class SpimeArraySim:
     def reset(self) -> None:
         """Global reset: control to IDLE, registers, cycle counter and job cleared."""
         self._control.reset()
+        self._obs = self._observe()
         self.units = [ZERO_BLOCK] * self.cfg.num_pims
         self.cycle = 0
         self._trace = []  # one control record per cycle: TRACE_HEADER minus "unit"
@@ -135,6 +136,12 @@ class SpimeArraySim:
         self._schedules = None
         self._outputs = None
         self._started = 0
+
+    def _observe(self) -> UnitObservation:
+        """Read the shared control signals; the only place the FSMs are read."""
+        ctrl, core = self._control.ctrl, self._control.core
+        return UnitObservation(ctrl.state, core.current_state, ctrl.aes_start,
+                               core.done, ctrl.done, core.round)
 
     def load_job(self, job: SpimeJob) -> None:
         """Validate a job against the config and stage it for ticking."""
@@ -149,51 +156,35 @@ class SpimeArraySim:
 
     def job_complete(self) -> bool:
         """True once every block is captured and the control is idle again."""
-        if self._job is None or len(self._outputs[0]) < self.cfg.blocks_per_unit:
-            return False
-        ctrl, core = self._control.ctrl, self._control.core
-        return (
-            ctrl.state == C_IDLE and core.current_state == IDLE
-            and not ctrl.done and not ctrl.aes_start and not core.done
-        )
+        return (self._job is not None and len(self._outputs[0]) >= self.cfg.blocks_per_unit
+                and self._obs[:5] == (C_IDLE, IDLE, False, False, False))
 
     def tick(self) -> list:
         """Advance the array exactly one global cycle; returns observations."""
-        ctrl, core = self._control.ctrl, self._control.core
+        before = self._obs
         blocks = self.cfg.blocks_per_unit if self._job else 0
-        start = self._job is not None and self._started < blocks
-        accepted = start and ctrl.state == C_IDLE
-        state, rnd = core.current_state, core.round
-
+        start = self._started < blocks
         # Timing is data-independent, so the control runs on constant data. It
         # leaves IDLE only after a start, so below a job is always loaded.
         self._control.tick(start=start, data_in=ZERO_BLOCK, round_keys=_ZERO_SCHEDULE)
-        if state != IDLE:
+        if before.core_state != IDLE:
             pending = min(len(self._outputs[0]), blocks - 1)
             self.units = [
-                datapath(state, rnd, reg, inputs[pending], schedule)
+                datapath(before.core_state, before.round, reg, inputs[pending], schedule)
                 for reg, inputs, schedule in zip(self.units, self._job.inputs, self._schedules)
             ]
+        if start and before.ctrl_state == C_IDLE:
+            self._started += 1
 
         self.cycle += 1
-        if accepted:
-            self._started += 1
-        if ctrl.done:
+        self._obs = obs = self._observe()
+        if obs.done:
             for out, reg in zip(self._outputs, self.units):
                 out.append(reg)
-
-        observation = UnitObservation(
-            ctrl_state=ctrl.state,
-            core_state=core.current_state,
-            aes_start=ctrl.aes_start,
-            aes_done=core.done,
-            done=ctrl.done,
-            round=core.round,
-        )
         if self.cfg.trace_enabled:
-            self._trace.append((self.cycle, ctrl.state, int(ctrl.aes_start), core.current_state,
-                                core.round, int(core.done), int(ctrl.done)))
-        return [observation] * self.cfg.num_pims
+            self._trace.append((self.cycle, obs.ctrl_state, int(obs.aes_start), obs.core_state,
+                                obs.round, int(obs.aes_done), int(obs.done)))
+        return [obs] * self.cfg.num_pims
 
     def iter_trace_rows(self):
         """Yield the trace rows in TRACE_HEADER order: per cycle, one row per unit."""

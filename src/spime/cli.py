@@ -20,18 +20,17 @@ from .array_sim import (
     format_result_lines,
     parse_job_lines,
 )
+from .controller import UNIT_CYCLES_PER_BLOCK
 from .perf import (
     AGGREGATE,
     CATALOG_ENV_VAR,
     CSV_HEADER,
     DEFAULT_CYCLES_PER_TASK,
     PER_UNIT,
-    PUBLISHED_FMAX_MHZ,
-    PUBLISHED_NUM_PIMS,
-    PerfQuery,
     figure_grid,
     load_device_catalog,
     sweep_csv_rows,
+    sweep_grid,
 )
 from .primitives import BLOCK_BITS, block_from_hex, reference_encrypt
 
@@ -157,18 +156,8 @@ def cmd_sweep(args) -> int:
     if args.figure is not None:
         pairs, interpretation = figure_grid(args.figure, catalog)
     else:
-        names = args.device or list(catalog)
-        unknown = [n for n in names if n not in catalog]
-        if unknown:
-            raise ValueError(f"unknown device(s): {', '.join(unknown)}")
-        cycles = DEFAULT_CYCLES_PER_TASK if args.cycles_per_task is None else args.cycles_per_task
-        pairs = [
-            (PerfQuery(num_pims=n, fmax_mhz=f, block_bits=b, cycles_per_task=cycles), catalog[name])
-            for name in names
-            for n in args.num_pims or PUBLISHED_NUM_PIMS
-            for f in args.fmax_mhz or [float(f) for f in PUBLISHED_FMAX_MHZ]
-            for b in args.block_bits or [1024]
-        ]
+        pairs = sweep_grid(catalog, args.device, args.num_pims, args.fmax_mhz, args.block_bits,
+                           args.cycles_per_task)
         interpretation = AGGREGATE
     if args.per_unit:
         interpretation = PER_UNIT
@@ -233,8 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--block-bits", type=int, nargs="+")
     p_sweep.add_argument("--device", nargs="+", help="device names (default: whole catalog)")
     p_sweep.add_argument("--cycles-per-task", type=int,
-                         help=f"analytical cycles per block ({DEFAULT_CYCLES_PER_TASK}; use 15 "
-                         "for the measured handshake-inclusive constant)")
+                         help=f"analytical cycles per block ({DEFAULT_CYCLES_PER_TASK}; use "
+                         f"{UNIT_CYCLES_PER_BLOCK} for the measured handshake-inclusive constant)")
     p_sweep.add_argument("--per-unit", action="store_true",
                          help="report per-unit throughput instead of aggregate")
     p_sweep.add_argument("--output", help="write the CSV here instead of stdout")

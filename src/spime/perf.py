@@ -27,12 +27,13 @@ import os
 from dataclasses import dataclass, field
 from importlib import resources
 
+from .aes_core import CORE_CYCLES_PER_BLOCK
 from .primitives import BLOCK_BITS
 
 AGGREGATE = "aggregate"
 PER_UNIT = "per-unit"
 
-DEFAULT_CYCLES_PER_TASK = 11
+DEFAULT_CYCLES_PER_TASK = CORE_CYCLES_PER_BLOCK
 
 ANCHOR_NUM_PIMS = 4096
 # (lut_pct, ff_pct) measured at ANCHOR_NUM_PIMS units, per device family.
@@ -51,7 +52,7 @@ CSV_HEADER = [
 ]
 
 PUBLISHED_NUM_PIMS = [256, 512, 1024, 2048, 4096]
-PUBLISHED_FMAX_MHZ = [100, 300, 500]
+PUBLISHED_FMAX_MHZ = [100.0, 300.0, 500.0]
 PUBLISHED_BLOCK_BITS = [1024, 4096, 16384, 65536]
 
 
@@ -84,6 +85,8 @@ class DeviceSpec:
         lut_pct, ff_pct = self._anchors()
         self.per_pim_lut_cost = self.luts * lut_pct / 100.0 / ANCHOR_NUM_PIMS
         self.per_pim_ff_cost = self.ffs * ff_pct / 100.0 / ANCHOR_NUM_PIMS
+        if not (math.isfinite(self.per_pim_lut_cost) and math.isfinite(self.per_pim_ff_cost)):
+            raise OverflowError(f"{self.name}: per-unit cost is not finite")
 
     def _anchors(self):
         if self.name in _EMBEDDED_DEVICES or self.luts < _EMBEDDED_LUT_LIMIT:
@@ -156,21 +159,27 @@ def utilization_pct(device: DeviceSpec, num_pims: int, resource: str) -> float:
 
 
 def evaluate(query: PerfQuery, device: DeviceSpec, interpretation: str = AGGREGATE) -> PerfResult:
-    """Evaluate one operating point into latency/throughput/utilization."""
-    lat = latency_us(query.cycles_per_task, query.fmax_mhz)
-    if interpretation == AGGREGATE:
-        batch_latency = (query.block_bits / BLOCK_BITS) * lat
-        thr = throughput_gbps(query.num_pims * query.block_bits, batch_latency)
-    elif interpretation == PER_UNIT:
-        thr = throughput_gbps(query.block_bits, lat)
-    else:
-        raise ValueError(f"unknown interpretation {interpretation!r}")
-    return PerfResult(
-        latency_us=lat,
-        throughput_gbps=thr,
-        lut_util_pct=utilization_pct(device, query.num_pims, "LUT"),
-        ff_util_pct=utilization_pct(device, query.num_pims, "FF"),
-    )
+    """Evaluate one operating point into latency/throughput/utilization.
+
+    Raises ValueError when a field overflows a float or is not finite.
+    """
+    try:
+        lat = latency_us(query.cycles_per_task, query.fmax_mhz)
+        if interpretation == AGGREGATE:
+            batch_latency = (query.block_bits / BLOCK_BITS) * lat
+            thr = throughput_gbps(query.num_pims * query.block_bits, batch_latency)
+        elif interpretation == PER_UNIT:
+            thr = throughput_gbps(query.block_bits, lat)
+        else:
+            raise ValueError(f"unknown interpretation {interpretation!r}")
+        lut = utilization_pct(device, query.num_pims, "LUT")
+        ff = utilization_pct(device, query.num_pims, "FF")
+    except OverflowError as exc:
+        raise ValueError(f"operating point too large for the model: {exc}") from None
+    result = PerfResult(lat, thr, lut, ff)
+    if not (math.isfinite(lat) and math.isfinite(thr) and math.isfinite(lut) and math.isfinite(ff)):
+        raise ValueError(f"operating point outside the model's range: {result}")
+    return result
 
 
 def sweep(pairs, interpretation: str = AGGREGATE) -> list:
@@ -214,9 +223,9 @@ def load_device_catalog(path: str = None) -> dict:
     Explicit ``path`` wins, then the CATALOG_ENV_VAR environment variable,
     then the built-in file. Returns an ordered name -> DeviceSpec map.
     Raises ValueError naming the CSV line for a malformed line, a missing
-    column, a non-integer count, a count too large for a float or a
-    repeated device name; a file that is not UTF-8 raises
-    UnicodeDecodeError, also a ValueError.
+    column, a non-integer count, a count too large for a float (or whose
+    per-unit cost is not finite) or a repeated device name; a file that is
+    not UTF-8 raises UnicodeDecodeError, also a ValueError.
     """
     if path is None:
         path = os.environ.get(CATALOG_ENV_VAR)
@@ -257,8 +266,28 @@ def load_device_catalog(path: str = None) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Figure presets: the published sweep grids
+# Sweep grids and the published figure presets
 # ---------------------------------------------------------------------------
+
+def sweep_grid(catalog: dict, devices=None, num_pims=None, fmax_mhz=None, block_bits=None,
+               cycles_per_task=None) -> list:
+    """(PerfQuery, DeviceSpec) pairs in device -> num_pims -> fmax -> block_bits order.
+
+    An omitted axis takes the published values (whole catalog, 1024-bit blocks).
+    """
+    names = devices or list(catalog)
+    unknown = [n for n in names if n not in catalog]
+    if unknown:
+        raise ValueError(f"unknown device(s): {', '.join(unknown)}")
+    cycles = DEFAULT_CYCLES_PER_TASK if cycles_per_task is None else cycles_per_task
+    return [
+        (PerfQuery(num_pims=n, fmax_mhz=f, block_bits=b, cycles_per_task=cycles), catalog[name])
+        for name in names
+        for n in num_pims or PUBLISHED_NUM_PIMS
+        for f in fmax_mhz or PUBLISHED_FMAX_MHZ
+        for b in block_bits or [1024]
+    ]
+
 
 def figure_grid(figure: int, catalog: dict):
     """Return (pairs, interpretation) for one published figure's data grid.
@@ -269,32 +298,20 @@ def figure_grid(figure: int, catalog: dict):
        independent, which the grid makes visible).
     6: aggregate throughput vs unit count at 1024-bit blocks.
     7: per-unit throughput vs block size at 4096 units.
+    Figures 5 and 6 list their rows clock by clock.
     """
-    devices = list(catalog.values())
-    if not devices:
+    if not catalog:
         raise ValueError("device catalog is empty")
-    default = catalog.get("U55C", devices[0])
-    pairs = []
+    default = ["U55C" if "U55C" in catalog else next(iter(catalog))]
     if figure in (3, 4):
-        for device in devices:
-            for n in PUBLISHED_NUM_PIMS:
-                pairs.append((PerfQuery(num_pims=n, fmax_mhz=100.0), device))
-        return pairs, AGGREGATE
-    if figure == 5:
-        for fmax in [100.0, 200.0, 300.0, 400.0, 500.0]:
-            for n in PUBLISHED_NUM_PIMS:
-                pairs.append((PerfQuery(num_pims=n, fmax_mhz=fmax), default))
-        return pairs, AGGREGATE
-    if figure == 6:
-        for fmax in PUBLISHED_FMAX_MHZ:
-            for n in [1024, 2048, 3072, 4096]:
-                pairs.append((PerfQuery(num_pims=n, fmax_mhz=float(fmax)), default))
-        return pairs, AGGREGATE
+        return sweep_grid(catalog, fmax_mhz=[100.0]), AGGREGATE
     if figure == 7:
-        for fmax in PUBLISHED_FMAX_MHZ:
-            for bits in PUBLISHED_BLOCK_BITS:
-                pairs.append(
-                    (PerfQuery(num_pims=4096, fmax_mhz=float(fmax), block_bits=bits), default)
-                )
-        return pairs, PER_UNIT
-    raise ValueError(f"unknown figure {figure}, expected 3-7")
+        return sweep_grid(catalog, default, [4096], block_bits=PUBLISHED_BLOCK_BITS), PER_UNIT
+    if figure == 5:
+        clocks, units = [100.0, 200.0, 300.0, 400.0, 500.0], PUBLISHED_NUM_PIMS
+    elif figure == 6:
+        clocks, units = PUBLISHED_FMAX_MHZ, [1024, 2048, 3072, 4096]
+    else:
+        raise ValueError(f"unknown figure {figure}, expected 3-7")
+    # Clock-major: one single-clock grid after another.
+    return [pair for f in clocks for pair in sweep_grid(catalog, default, units, [f])], AGGREGATE

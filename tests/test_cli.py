@@ -340,6 +340,58 @@ def test_sweep_rejects_values_the_model_cannot_mean(tmp_path, capsys, flag, valu
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--num-pims", "1" + "0" * 400),
+        ("--block-bits", "1" + "0" * 330),
+        ("--cycles-per-task", "1" + "0" * 400),
+        ("--fmax-mhz", "1e-320"),
+        ("--fmax-mhz", "1e308"),
+    ],
+    ids=["num-pims-401-digits", "block-bits-331-digits", "cycles-401-digits",
+         "fmax-subnormal", "fmax-1e308"],
+)
+def test_sweep_rejects_values_the_model_cannot_evaluate(tmp_path, capsys, flag, value):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--device", "U55C", flag, value, "--output", str(out)]) == EXIT_USAGE
+    assert "query 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _sweep_bytes(capsys, argv):
+    assert main(["sweep", *argv]) == EXIT_OK
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "figure, grid",
+    [
+        (3, ["--fmax-mhz", "100"]),
+        (4, ["--fmax-mhz", "100"]),
+        (7, ["--device", "U55C", "--num-pims", "4096",
+             "--block-bits", "1024", "4096", "16384", "65536", "--per-unit"]),
+    ],
+)
+def test_figure_preset_is_an_explicit_sweep(capsys, figure, grid):
+    assert _sweep_bytes(capsys, ["--figure", str(figure)]) == _sweep_bytes(capsys, grid)
+
+
+@pytest.mark.parametrize(
+    "figure, grid",
+    [
+        (5, ["--device", "U55C", "--fmax-mhz", "100", "200", "300", "400", "500"]),
+        (6, ["--device", "U55C", "--num-pims", "1024", "2048", "3072", "4096"]),
+    ],
+)
+def test_figure_preset_is_an_explicit_sweep_clock_major(capsys, figure, grid):
+    preset = _sweep_bytes(capsys, ["--figure", str(figure)]).splitlines()
+    explicit = _sweep_bytes(capsys, grid).splitlines()
+    clock = lambda line: float(line.split(",")[2])
+    assert preset[0] == explicit[0]
+    assert preset[1:] == sorted(explicit[1:], key=clock)
+
+
 def test_sweep_rejects_bad_figure():
     with pytest.raises(SystemExit) as excinfo:
         main(["sweep", "--figure", "9"])
@@ -399,6 +451,18 @@ def test_catalog_count_too_large_for_a_float_is_a_usage_error(tmp_path, monkeypa
     path.write_text(_CATALOG_HEADER + f"BIG,custom-part,{'9' * 400},4000000,100,10,50\n")
     monkeypatch.setenv("SPIME_DEVICE_CATALOG", str(path))
     assert main(["devices"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "line 2: " in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [["devices"], ["sweep", "--device", "BIG"]])
+def test_catalog_count_with_a_non_finite_unit_cost_is_a_usage_error(
+        tmp_path, monkeypatch, capsys, argv):
+    path = tmp_path / "catalog.csv"
+    path.write_text(_CATALOG_HEADER + f"BIG,custom-part,9{'0' * 307},4000000,100,10,50\n")
+    monkeypatch.setenv("SPIME_DEVICE_CATALOG", str(path))
+    assert main(argv) == EXIT_USAGE
     captured = capsys.readouterr()
     assert "line 2: " in captured.err
     assert captured.out == ""

@@ -2,10 +2,13 @@
 
 import csv
 import io
+import math
 import random
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spime.aes_core import encrypt_block
 from spime.perf import (
@@ -241,6 +244,37 @@ def test_csv_rows_round_trip(catalog):
     assert parsed[0] == CSV_HEADER
     assert len(parsed) == len(rows) + 1
     assert all(len(row) == len(CSV_HEADER) for row in parsed)
+
+
+# Positive counts from small to far beyond what a float holds.
+_EXTREME_INT = st.one_of(st.integers(1, 2**64), st.integers(10**300, 10**420))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    num_pims=_EXTREME_INT,
+    fmax=st.floats(min_value=0.0, max_value=1.7e308, exclude_min=True),
+    chunks=_EXTREME_INT,
+    cycles=_EXTREME_INT,
+    interpretation=st.sampled_from([AGGREGATE, PER_UNIT]),
+    device=st.sampled_from(["U55C", "ZCU104"]),
+)
+def test_evaluate_is_finite_or_refuses(catalog, num_pims, fmax, chunks, cycles, interpretation,
+                                       device):
+    query = PerfQuery(num_pims=num_pims, fmax_mhz=fmax, block_bits=128 * chunks,
+                      cycles_per_task=cycles)
+    try:
+        result = evaluate(query, catalog[device], interpretation)
+    except ValueError:
+        return
+    assert all(math.isfinite(getattr(result, f)) for f in CSV_HEADER[4:])
+
+
+def test_device_with_a_non_finite_unit_cost_is_refused(tmp_path):
+    path = tmp_path / "catalog.csv"
+    path.write_text(f"name,part,luts,ffs,bram,uram,dsps\nBIG,p,9{'0' * 307},1000,1,1,1\n")
+    with pytest.raises(ValueError, match="line 2: resource counts too large for the model"):
+        load_device_catalog(str(path))
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,7 @@ class AesCoreSim:
     """Registered state of one AES core, advanced one cycle per step."""
 
     def __init__(self, trace_enabled: bool = False):
+        """``trace``/``trace_enabled`` serve the tests; ``simulate`` does not use them."""
         self.trace_enabled = trace_enabled
         self.trace = []  # rows: (cycle, state, round, done)
         self.reset()

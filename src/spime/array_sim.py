@@ -2,8 +2,8 @@
 
 All units share one clock, one reset, and one start signal; plaintext,
 key, and ciphertext buffers are per unit. A job preloads every unit with
-the same number of 128-bit blocks; the array holds start high until each
-unit has begun its last block and collects one ciphertext per done pulse.
+the same number of 128-bit blocks; the array holds start high while a
+block is still uncaptured and collects one ciphertext per done pulse.
 
 Timing does not depend on data, so all units follow one control
 trajectory: the array steps a single shared :class:`PimUnit` for the FSMs
@@ -135,7 +135,6 @@ class SpimeArraySim:
         self._job = None
         self._schedules = None
         self._outputs = None
-        self._started = 0
 
     def _observe(self) -> UnitObservation:
         """Read the shared control signals; the only place the FSMs are read."""
@@ -152,7 +151,6 @@ class SpimeArraySim:
         schedules = {key: expand_key(key) for key in set(keys)}
         self._schedules = [schedules[key] for key in keys]
         self._outputs = [[] for _ in range(self.cfg.num_pims)]
-        self._started = 0
 
     def job_complete(self) -> bool:
         """True once every block is captured and the control is idle again."""
@@ -162,19 +160,17 @@ class SpimeArraySim:
     def tick(self) -> list:
         """Advance the array exactly one global cycle; returns observations."""
         before = self._obs
-        blocks = self.cfg.blocks_per_unit if self._job else 0
-        start = self._started < blocks
+        # Start is sampled only in IDLE; a busy core works on the first uncaptured block.
+        captured = len(self._outputs[0]) if self._job else 0
+        start = self._job is not None and captured < self.cfg.blocks_per_unit
         # Timing is data-independent, so the control runs on constant data. It
         # leaves IDLE only after a start, so below a job is always loaded.
         self._control.tick(start=start, data_in=ZERO_BLOCK, round_keys=_ZERO_SCHEDULE)
         if before.core_state != IDLE:
-            pending = min(len(self._outputs[0]), blocks - 1)
             self.units = [
-                datapath(before.core_state, before.round, reg, inputs[pending], schedule)
+                datapath(before.core_state, before.round, reg, inputs[captured], schedule)
                 for reg, inputs, schedule in zip(self.units, self._job.inputs, self._schedules)
             ]
-        if start and before.ctrl_state == C_IDLE:
-            self._started += 1
 
         self.cycle += 1
         self._obs = obs = self._observe()

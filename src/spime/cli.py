@@ -10,6 +10,7 @@ and an ``OSError`` exits 3. Any other exception is a bug and propagates.
 import argparse
 import contextlib
 import csv
+import os
 import sys
 
 from .aes_core import encrypt_block
@@ -119,6 +120,9 @@ def cmd_encrypt(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
+    if args.output is not None and args.trace is not None and (
+            os.path.realpath(args.output) == os.path.realpath(args.trace)):
+        raise ValueError("--output and --trace name the same file")
     job = _read_job(args.job)
     cfg = SpimeConfig(
         num_pims=len(job.keys) if args.num_pims is None else args.num_pims,

@@ -32,6 +32,7 @@ class PimControllerSim:
     """Registered state of one PIM controller, advanced one cycle per step."""
 
     def __init__(self, trace_enabled: bool = False):
+        """``trace``/``trace_enabled`` serve the tests; ``simulate`` does not use them."""
         self.trace_enabled = trace_enabled
         self.trace = []  # rows: (cycle, state, aes_start, aes_done, done)
         self.data_out = ZERO_BLOCK

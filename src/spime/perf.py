@@ -182,35 +182,29 @@ def evaluate(query: PerfQuery, device: DeviceSpec, interpretation: str = AGGREGA
     return result
 
 
-def sweep(pairs, interpretation: str = AGGREGATE) -> list:
-    """Evaluate (PerfQuery, DeviceSpec) pairs in order; errors carry the index."""
-    results = []
+def iter_sweep(pairs, interpretation: str = AGGREGATE):
+    """Yield (query, device, result) for each pair in order; errors carry the index."""
     for index, (query, device) in enumerate(pairs):
         try:
-            results.append(evaluate(query, device, interpretation))
+            result = evaluate(query, device, interpretation)
         except ValueError as exc:
             raise SweepError(index, str(exc)) from exc
-    return results
+        yield query, device, result
+
+
+def sweep(pairs, interpretation: str = AGGREGATE) -> list:
+    """Evaluate (PerfQuery, DeviceSpec) pairs in order; errors carry the index."""
+    return [result for _query, _device, result in iter_sweep(pairs, interpretation)]
 
 
 def sweep_csv_rows(pairs, interpretation: str = AGGREGATE) -> list:
     """Sweep and render rows matching CSV_HEADER (floats at 4 decimals)."""
-    pairs = list(pairs)
-    rows = []
-    for (query, device), res in zip(pairs, sweep(pairs, interpretation)):
-        rows.append(
-            [
-                device.name,
-                query.num_pims,
-                query.fmax_mhz,
-                query.block_bits,
-                round(res.latency_us, 4),
-                round(res.throughput_gbps, 4),
-                round(res.lut_util_pct, 4),
-                round(res.ff_util_pct, 4),
-            ]
-        )
-    return rows
+    return [
+        [device.name, query.num_pims, query.fmax_mhz, query.block_bits,
+         round(res.latency_us, 4), round(res.throughput_gbps, 4),
+         round(res.lut_util_pct, 4), round(res.ff_util_pct, 4)]
+        for query, device, res in iter_sweep(pairs, interpretation)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -270,27 +264,28 @@ def load_device_catalog(path: str = None) -> dict:
 # ---------------------------------------------------------------------------
 
 def sweep_grid(catalog: dict, devices=None, num_pims=None, fmax_mhz=None, block_bits=None,
-               cycles_per_task=None) -> list:
-    """(PerfQuery, DeviceSpec) pairs in device -> num_pims -> fmax -> block_bits order.
+               cycles_per_task=None):
+    """Lazy (PerfQuery, DeviceSpec) pairs in device -> num_pims -> fmax -> block_bits order.
 
     An omitted axis takes the published values (whole catalog, 1024-bit blocks).
+    Unknown device names are refused at the call, before any pair is built.
     """
     names = devices or list(catalog)
     unknown = [n for n in names if n not in catalog]
     if unknown:
         raise ValueError(f"unknown device(s): {', '.join(unknown)}")
     cycles = DEFAULT_CYCLES_PER_TASK if cycles_per_task is None else cycles_per_task
-    return [
+    return (
         (PerfQuery(num_pims=n, fmax_mhz=f, block_bits=b, cycles_per_task=cycles), catalog[name])
         for name in names
         for n in num_pims or PUBLISHED_NUM_PIMS
         for f in fmax_mhz or PUBLISHED_FMAX_MHZ
         for b in block_bits or [1024]
-    ]
+    )
 
 
 def figure_grid(figure: int, catalog: dict):
-    """Return (pairs, interpretation) for one published figure's data grid.
+    """Return (lazy pairs, interpretation) for one published figure's data grid.
 
     3: LUT utilization vs unit count, all devices.
     4: FF utilization vs unit count, all devices.
@@ -314,4 +309,4 @@ def figure_grid(figure: int, catalog: dict):
     else:
         raise ValueError(f"unknown figure {figure}, expected 3-7")
     # Clock-major: one single-clock grid after another.
-    return [pair for f in clocks for pair in sweep_grid(catalog, default, units, [f])], AGGREGATE
+    return (pair for f in clocks for pair in sweep_grid(catalog, default, units, [f])), AGGREGATE

@@ -102,14 +102,14 @@ def state_to_block(state: list) -> bytes:
 
 
 def schedule_to_flat(keys: list) -> bytes:
-    """Concatenate the 11 round keys into the 176-byte flat layout."""
+    """Join the 11 round keys into 176 flat bytes; kept for the tests, unused by ``simulate``."""
     if len(keys) != NUM_ROUND_KEYS:
         raise ValueError(f"schedule must hold {NUM_ROUND_KEYS} round keys")
     return b"".join(check_block(k) for k in keys)
 
 
 def flat_to_schedule(flat: bytes) -> list:
-    """Split the 176-byte flat layout back into 11 round keys."""
+    """Split 176 flat bytes into the 11 round keys; kept for the tests, unused by ``simulate``."""
     if len(flat) != SCHEDULE_BYTES:
         raise ValueError(f"flat schedule must be {SCHEDULE_BYTES} bytes, got {len(flat)}")
     return [bytes(flat[16 * i:16 * i + 16]) for i in range(NUM_ROUND_KEYS)]
@@ -252,6 +252,7 @@ class SubBytesPacket:
     Holds one 128-bit latch. A valid packet of type 2 is captured and
     flagged valid for that cycle; any other input leaves the latch at its
     previous value with the valid flag low. Reset clears the latch to zero.
+    Kept for the tests; ``simulate`` does not use it.
     """
 
     def __init__(self):

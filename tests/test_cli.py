@@ -241,6 +241,20 @@ def test_simulate_reports_success_only_after_the_trace_is_written(tmp_path, caps
     assert "num_pims=" not in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("spelling", ["identical", "dot-alias"])
+def test_simulate_refuses_output_and_trace_on_one_file(tmp_path, capsys, spelling):
+    job_path = tmp_path / "job.txt"
+    write_job(job_path, random.Random(0x57), num_pims=2, blocks_per_unit=1)
+    target = tmp_path / "same"
+    trace = str(target) if spelling == "identical" else f"{tmp_path}/./same"
+    argv = ["simulate", "--job", str(job_path), "--output", str(target), "--trace", trace]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "--output and --trace name the same file" in captured.err
+    assert captured.out == ""
+    assert not target.exists()
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
@@ -357,6 +371,29 @@ def test_sweep_rejects_values_the_model_cannot_evaluate(tmp_path, capsys, flag, 
     assert main(["sweep", "--device", "U55C", flag, value, "--output", str(out)]) == EXIT_USAGE
     assert "query 0" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "value, named", [("1e-320", "query 1"), ("nan", "fmax_mhz")], ids=["fmax-subnormal", "nan"]
+)
+def test_sweep_refusal_after_a_good_point_writes_nothing(tmp_path, capsys, value, named):
+    argv = ["sweep", "--device", "U55C", "--fmax-mhz", "100", value]
+    out = tmp_path / "sweep.csv"
+    assert main(argv + ["--output", str(out)]) == EXIT_USAGE
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().out == ""
+
+
+def test_sweep_memory_holds_only_the_rows(tmp_path, capsys):
+    # 2 devices x 100 unit counts x 100 clocks = 20,000 rows.
+    argv = ["sweep", "--device", "U55C", "ZCU104",
+            "--num-pims", *map(str, range(1, 101)),
+            "--fmax-mhz", *map(str, range(100, 200)),
+            "--output", str(tmp_path / "sweep.csv")]
+    assert main(argv) == EXIT_OK  # warm-up: lazy imports and caches
+    assert _peak_traced_bytes(argv) < 8 * 1024 * 1024
 
 
 def _sweep_bytes(capsys, argv):

@@ -66,14 +66,19 @@ def _load_catalog():
         return load_device_catalog()
 
 
-@contextlib.contextmanager
 def _open_output(path):
-    """Yield stdout when ``path`` is None, else ``path`` opened for writing."""
-    if path is None:
-        yield sys.stdout
-    else:
-        with open(path, "w", newline="") as fh:
-            yield fh
+    """Stdout when ``path`` is None, else ``path`` opened for writing."""
+    return contextlib.nullcontext(sys.stdout) if path is None else open(path, "w", newline="")
+
+
+def _refuse_shared_files(paths) -> None:
+    """Refuse, before any file is touched, two labels whose paths name one file."""
+    seen = {}
+    for label, path in paths.items():
+        if path is not None:
+            first = seen.setdefault(os.path.realpath(path), label)
+            if first != label:
+                raise ValueError(f"{first} and {label} name the same file")
 
 
 def _write_lines(path, lines) -> None:
@@ -93,6 +98,7 @@ def _write_csv(path, header, rows) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_encrypt(args) -> int:
+    _refuse_shared_files({"--input": args.input, "--output": args.output})
     if args.input is not None:
         if args.key or args.plaintext:
             raise ValueError("give either KEY PLAINTEXT or --input, not both")
@@ -120,9 +126,7 @@ def cmd_encrypt(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
-    if args.output is not None and args.trace is not None and (
-            os.path.realpath(args.output) == os.path.realpath(args.trace)):
-        raise ValueError("--output and --trace name the same file")
+    _refuse_shared_files({"--job": args.job, "--output": args.output, "--trace": args.trace})
     job = _read_job(args.job)
     cfg = SpimeConfig(
         num_pims=len(job.keys) if args.num_pims is None else args.num_pims,
@@ -150,19 +154,15 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_sweep(args) -> int:
+    _refuse_shared_files({CATALOG_ENV_VAR: os.environ.get(CATALOG_ENV_VAR), "--output": args.output})
+    grid = {name: getattr(args, name) for name in GRID_FLAGS}
     if args.figure is not None:
-        given = [f"--{name.replace('_', '-')}" for name in GRID_FLAGS
-                 if getattr(args, name) is not None]
+        given = [f"--{name.replace('_', '-')}" for name, value in grid.items() if value is not None]
         if given:
             raise ValueError(f"--figure fixes its own grid; drop {', '.join(given)}")
-    catalog = _load_catalog()
-
-    if args.figure is not None:
-        pairs, interpretation = figure_grid(args.figure, catalog)
+        pairs, interpretation = figure_grid(args.figure, _load_catalog())
     else:
-        pairs = sweep_grid(catalog, args.device, args.num_pims, args.fmax_mhz, args.block_bits,
-                           args.cycles_per_task)
-        interpretation = AGGREGATE
+        pairs, interpretation = sweep_grid(_load_catalog(), **grid), AGGREGATE
     if args.per_unit:
         interpretation = PER_UNIT
 

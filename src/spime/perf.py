@@ -217,9 +217,9 @@ def load_device_catalog(path: str = None) -> dict:
     Explicit ``path`` wins, then the CATALOG_ENV_VAR environment variable,
     then the built-in file. Returns an ordered name -> DeviceSpec map.
     Raises ValueError naming the CSV line for a malformed line, a missing
-    column, a non-integer count, a count too large for a float (or whose
-    per-unit cost is not finite) or a repeated device name; a file that is
-    not UTF-8 raises UnicodeDecodeError, also a ValueError.
+    column, a non-integer or non-positive count, a count too large for a float
+    (or whose per-unit cost is not finite) or a repeated device name; a file
+    that is not UTF-8 raises UnicodeDecodeError, also a ValueError.
     """
     if path is None:
         path = os.environ.get(CATALOG_ENV_VAR)
@@ -256,6 +256,8 @@ def load_device_catalog(path: str = None) -> dict:
             catalog[row["name"]] = DeviceSpec(name=row["name"], part=row["part"], **counts)
         except OverflowError:
             raise ValueError(f"{where}: resource counts too large for the model") from None
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
     return catalog
 
 
@@ -263,14 +265,16 @@ def load_device_catalog(path: str = None) -> dict:
 # Sweep grids and the published figure presets
 # ---------------------------------------------------------------------------
 
-def sweep_grid(catalog: dict, devices=None, num_pims=None, fmax_mhz=None, block_bits=None,
+def sweep_grid(catalog: dict, device=None, num_pims=None, fmax_mhz=None, block_bits=None,
                cycles_per_task=None):
     """Lazy (PerfQuery, DeviceSpec) pairs in device -> num_pims -> fmax -> block_bits order.
 
     An omitted axis takes the published values (whole catalog, 1024-bit blocks).
-    Unknown device names are refused at the call, before any pair is built.
+    An empty catalog or an unknown device name is refused before any pair is built.
     """
-    names = devices or list(catalog)
+    if not catalog:
+        raise ValueError("device catalog is empty")
+    names = device or list(catalog)
     unknown = [n for n in names if n not in catalog]
     if unknown:
         raise ValueError(f"unknown device(s): {', '.join(unknown)}")
@@ -295,9 +299,7 @@ def figure_grid(figure: int, catalog: dict):
     7: per-unit throughput vs block size at 4096 units.
     Figures 5 and 6 list their rows clock by clock.
     """
-    if not catalog:
-        raise ValueError("device catalog is empty")
-    default = ["U55C" if "U55C" in catalog else next(iter(catalog))]
+    default = ["U55C"] if "U55C" in catalog else list(catalog)[:1]
     if figure in (3, 4):
         return sweep_grid(catalog, fmax_mhz=[100.0]), AGGREGATE
     if figure == 7:
@@ -308,5 +310,6 @@ def figure_grid(figure: int, catalog: dict):
         clocks, units = PUBLISHED_FMAX_MHZ, [1024, 2048, 3072, 4096]
     else:
         raise ValueError(f"unknown figure {figure}, expected 3-7")
-    # Clock-major: one single-clock grid after another.
-    return (pair for f in clocks for pair in sweep_grid(catalog, default, units, [f])), AGGREGATE
+    # Clock-major: one single-clock grid after another, each checked here.
+    grids = [sweep_grid(catalog, default, units, [f]) for f in clocks]
+    return (pair for grid in grids for pair in grid), AGGREGATE

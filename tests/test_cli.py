@@ -255,6 +255,35 @@ def test_simulate_refuses_output_and_trace_on_one_file(tmp_path, capsys, spellin
     assert not target.exists()
 
 
+_CLASHES = {
+    "job-output": (["simulate", "--job", "{job}", "--output", "{job}"], "job",
+                   "--job and --output name the same file"),
+    "job-trace": (["simulate", "--job", "{job}", "--trace", "{job}"], "job",
+                  "--job and --trace name the same file"),
+    "job-dot-alias": (["simulate", "--job", "{job}", "--output", "{dir}/./job.txt"], "job",
+                      "--job and --output name the same file"),
+    "encrypt-input-output": (["encrypt", "--input", "{job}", "--output", "{job}"], "job",
+                             "--input and --output name the same file"),
+    "catalog-output": (["sweep", "--output", "{catalog}"], "catalog",
+                       "SPIME_DEVICE_CATALOG and --output name the same file"),
+}
+
+
+@pytest.mark.parametrize("case", list(_CLASHES))
+def test_no_command_writes_over_one_of_its_own_files(tmp_path, monkeypatch, capsys, case):
+    paths = {"dir": tmp_path, "job": tmp_path / "job.txt", "catalog": tmp_path / "catalog.csv"}
+    write_job(paths["job"], random.Random(0x58), num_pims=2, blocks_per_unit=1)
+    paths["catalog"].write_text(_CATALOG_HEADER + _CATALOG_ROW)
+    monkeypatch.setenv("SPIME_DEVICE_CATALOG", str(paths["catalog"]))
+    template, victim, needle = _CLASHES[case]
+    before = paths[victim].read_bytes()
+    assert main([arg.format(**paths) for arg in template]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert needle in captured.err
+    assert captured.out == ""
+    assert paths[victim].read_bytes() == before
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
@@ -386,6 +415,16 @@ def test_sweep_refusal_after_a_good_point_writes_nothing(tmp_path, capsys, value
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize(
+    "flag, field", [("--num-pims", "num_pims"), ("--cycles-per-task", "cycles_per_task")]
+)
+def test_sweep_rejects_a_zero_count(tmp_path, capsys, flag, field):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--device", "U55C", flag, "0", "--output", str(out)]) == EXIT_USAGE
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_memory_holds_only_the_rows(tmp_path, capsys):
     # 2 devices x 100 unit counts x 100 clocks = 20,000 rows.
     argv = ["sweep", "--device", "U55C", "ZCU104",
@@ -503,6 +542,31 @@ def test_catalog_count_with_a_non_finite_unit_cost_is_a_usage_error(
     captured = capsys.readouterr()
     assert "line 2: " in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [["devices"], ["sweep", "--device", "ZERO"]])
+def test_catalog_count_that_is_not_positive_names_its_line(tmp_path, monkeypatch, capsys, argv):
+    path = tmp_path / "catalog.csv"
+    path.write_text(_CATALOG_HEADER + "ZERO,custom-part,0,4000000,100,10,50\n")
+    monkeypatch.setenv("SPIME_DEVICE_CATALOG", str(path))
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "line 2: ZERO: luts must be positive" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("figure", [None, 3, 4, 5, 6, 7])
+def test_empty_catalog_refuses_every_sweep(tmp_path, monkeypatch, capsys, figure):
+    path = tmp_path / "catalog.csv"
+    path.write_text(_CATALOG_HEADER)
+    monkeypatch.setenv("SPIME_DEVICE_CATALOG", str(path))
+    out = tmp_path / "sweep.csv"
+    preset = [] if figure is None else ["--figure", str(figure)]
+    assert main(["sweep", *preset, "--output", str(out)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "device catalog is empty" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

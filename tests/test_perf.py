@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spime.aes_core import encrypt_block
+from spime.cli import GRID_FLAGS
 from spime.perf import (
     AGGREGATE,
     DEFAULT_CYCLES_PER_TASK,
@@ -25,6 +26,7 @@ from spime.perf import (
     load_device_catalog,
     sweep,
     sweep_csv_rows,
+    sweep_grid,
     throughput_gbps,
     utilization_pct,
 )
@@ -329,6 +331,17 @@ def test_figure7_throughput_nondecreasing_in_block_size(catalog):
 def test_unknown_figure_rejected(catalog):
     with pytest.raises(ValueError):
         figure_grid(8, catalog)
+
+
+def test_sweep_grid_takes_the_cli_grid_flags_by_name(catalog):
+    unset = {name: None for name in GRID_FLAGS}
+    assert list(sweep_grid(catalog, **unset)) == list(sweep_grid(catalog))
+
+
+@pytest.mark.parametrize("figure", [None, 3, 4, 5, 6, 7])
+def test_empty_catalog_is_refused_when_the_grid_is_built(figure):
+    with pytest.raises(ValueError, match="device catalog is empty"):
+        sweep_grid({}) if figure is None else figure_grid(figure, {})
 
 
 # ---------------------------------------------------------------------------

@@ -52,8 +52,10 @@ class AesCoreInputs:
 def datapath(state: str, rnd: int, state_reg: bytes, data_in: bytes, round_keys: list) -> bytes:
     """Next state register of a core executing ``state`` at round counter ``rnd``.
 
-    The register holds the AES state in block form. Shared by
-    :class:`AesCoreSim` and the lockstep array's per-unit registers.
+    The register holds the AES state in block form, one 16-byte lane per
+    unit, with ``data_in`` and ``round_keys`` in the same layout: a single
+    block for :class:`AesCoreSim`, all N units' states at once for the
+    lockstep array.
     """
     if state == ROUND:
         return block_round(state_reg, round_keys[rnd + 1])

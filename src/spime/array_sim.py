@@ -7,10 +7,13 @@ block is still uncaptured and collects one ciphertext per done pulse.
 
 Timing does not depend on data, so all units follow one control
 trajectory: the array steps a single shared :class:`PimUnit` for the FSMs
-and handshake, and keeps one datapath state register per unit (a 16-byte
-block), advanced by :func:`~spime.aes_core.datapath`. :class:`PimUnit`
-stays the reference model: an N-unit run matches N independent unit runs
-cycle for cycle.
+and handshake. All N datapath state registers are lanes of one 16N-byte
+register (unit u at bytes 16u..16u+15), advanced by one
+:func:`~spime.aes_core.datapath` call per busy cycle; the N keys are
+expanded in one :func:`~spime.primitives.expand_keys` call into 11
+round-key registers of the same layout. :class:`PimUnit` stays the
+reference model: an N-unit run matches N independent unit runs cycle for
+cycle.
 With tracing on, the array records the shared control signals once per
 cycle and expands them into the N per-unit trace rows only when read, so
 trace memory does not grow with N.
@@ -29,11 +32,12 @@ from .aes_core import IDLE, datapath
 from .controller import C_IDLE, PimUnit, UNIT_CYCLES_PER_BLOCK
 from .primitives import (
     BLOCK_BITS,
+    BLOCK_BYTES,
     NUM_ROUND_KEYS,
     ZERO_BLOCK,
     block_from_hex,
     check_block,
-    expand_key,
+    expand_keys,
 )
 
 _ZERO_SCHEDULE = [ZERO_BLOCK] * NUM_ROUND_KEYS
@@ -118,7 +122,7 @@ class UnitObservation(NamedTuple):
 
 
 class SpimeArraySim:
-    """N units on a shared clock: one control trajectory, N datapath registers."""
+    """N units on a shared clock: one control trajectory, one 16N-byte datapath register."""
 
     def __init__(self, cfg: SpimeConfig):
         self.cfg = cfg
@@ -129,12 +133,28 @@ class SpimeArraySim:
         """Global reset: control to IDLE, registers, cycle counter and job cleared."""
         self._control.reset()
         self._obs = self._observe()
-        self.units = [ZERO_BLOCK] * self.cfg.num_pims
+        self._register = bytes(BLOCK_BYTES * self.cfg.num_pims)
         self.cycle = 0
         self._trace = []  # one control record per cycle: TRACE_HEADER minus "unit"
         self._job = None
-        self._schedules = None
-        self._outputs = None
+        self._inputs = None  # per block index, the register of every unit's input
+        self._round_keys = None
+        self._captured = []  # the register at each done pulse
+
+    @staticmethod
+    def _lanes(register: bytes) -> list:
+        return [register[i:i + BLOCK_BYTES] for i in range(0, len(register), BLOCK_BYTES)]
+
+    @property
+    def units(self) -> list:
+        """Each unit's datapath state register, sliced from the shared register."""
+        return self._lanes(self._register)
+
+    @property
+    def _outputs(self) -> list:
+        """Each unit's captured ciphertexts, in capture order."""
+        captured = [self._lanes(register) for register in self._captured]
+        return [[lanes[u] for lanes in captured] for u in range(self.cfg.num_pims)]
 
     def _observe(self) -> UnitObservation:
         """Read the shared control signals; the only place the FSMs are read."""
@@ -146,37 +166,32 @@ class SpimeArraySim:
         """Validate a job against the config and stage it for ticking."""
         job.validate(self.cfg)
         self._job = job
-        # Units that share a key share its schedule: expand each distinct key once.
-        keys = [bytes(key) for key in job.keys]
-        schedules = {key: expand_key(key) for key in set(keys)}
-        self._schedules = [schedules[key] for key in keys]
-        self._outputs = [[] for _ in range(self.cfg.num_pims)]
+        self._round_keys = expand_keys(b"".join(job.keys))
+        self._inputs = [b"".join(blocks) for blocks in zip(*job.inputs)]
+        self._captured = []
 
     def job_complete(self) -> bool:
         """True once every block is captured and the control is idle again."""
-        return (self._job is not None and len(self._outputs[0]) >= self.cfg.blocks_per_unit
+        return (self._job is not None and len(self._captured) >= self.cfg.blocks_per_unit
                 and self._obs[:5] == (C_IDLE, IDLE, False, False, False))
 
     def tick(self) -> list:
         """Advance the array exactly one global cycle; returns observations."""
         before = self._obs
         # Start is sampled only in IDLE; a busy core works on the first uncaptured block.
-        captured = len(self._outputs[0]) if self._job else 0
+        captured = len(self._captured)
         start = self._job is not None and captured < self.cfg.blocks_per_unit
         # Timing is data-independent, so the control runs on constant data. It
         # leaves IDLE only after a start, so below a job is always loaded.
         self._control.tick(start=start, data_in=ZERO_BLOCK, round_keys=_ZERO_SCHEDULE)
         if before.core_state != IDLE:
-            self.units = [
-                datapath(before.core_state, before.round, reg, inputs[captured], schedule)
-                for reg, inputs, schedule in zip(self.units, self._job.inputs, self._schedules)
-            ]
+            self._register = datapath(before.core_state, before.round, self._register,
+                                      self._inputs[captured], self._round_keys)
 
         self.cycle += 1
         self._obs = obs = self._observe()
         if obs.done:
-            for out, reg in zip(self._outputs, self.units):
-                out.append(reg)
+            self._captured.append(self._register)
         if self.cfg.trace_enabled:
             self._trace.append((self.cycle, obs.ctrl_state, int(obs.aes_start), obs.core_state,
                                 obs.round, int(obs.aes_done), int(obs.done)))
@@ -203,9 +218,9 @@ class SpimeArraySim:
             if self.cycle - start_cycle > budget:
                 raise RuntimeError("array failed to finish within the cycle budget")
         return SpimeResult(
-            outputs=[list(out) for out in self._outputs],
+            outputs=self._outputs,
             total_cycles=self.cycle - start_cycle,
-            done_flags=[len(out) == self.cfg.blocks_per_unit for out in self._outputs],
+            done_flags=[len(self._captured) == self.cfg.blocks_per_unit] * self.cfg.num_pims,
         )
 
 

@@ -71,12 +71,21 @@ def _open_output(path):
     return contextlib.nullcontext(sys.stdout) if path is None else open(path, "w", newline="")
 
 
+def _file_identity(path):
+    """Device and inode of an existing file (so hard links match), else its resolved path."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return os.path.realpath(path)
+    return st.st_dev, st.st_ino
+
+
 def _refuse_shared_files(paths) -> None:
     """Refuse, before any file is touched, two labels whose paths name one file."""
     seen = {}
     for label, path in paths.items():
         if path is not None:
-            first = seen.setdefault(os.path.realpath(path), label)
+            first = seen.setdefault(_file_identity(path), label)
             if first != label:
                 raise ValueError(f"{first} and {label} name the same file")
 

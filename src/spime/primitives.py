@@ -6,11 +6,15 @@ matrices, and 128-bit blocks. The only stateful object is
 module's single data latch.
 
 The cipher is coded twice. :func:`block_round` is the simulator's
-datapath: it works on the state in block form and on one 128-bit int.
-The list-of-lists transforms (:func:`sub_bytes`, :func:`shift_rows`,
-:func:`mix_columns`, :func:`add_round_key`) compose into
-:func:`reference_encrypt`, the oracle the block round is checked
-against. Both share :data:`SBOX` and :func:`expand_key`.
+datapath: it works on a register of one or more block-form states, one
+per 16-byte lane, as one big-endian int, so N units' states advance in
+one call (Kasper & Schwabe, CHES 2009, lay AES out the same way across
+the words of a machine register). :func:`expand_keys` expands N keys
+in one batch in the same layout. The list-of-lists transforms
+(:func:`sub_bytes`, :func:`shift_rows`, :func:`mix_columns`,
+:func:`add_round_key`) compose into :func:`reference_encrypt`, the
+oracle the block round is checked against. Both share :data:`SBOX` and
+:func:`expand_key`.
 
 Conventions:
   * A 128-bit block is ``bytes`` of length 16 (hex form: 32 lowercase chars,
@@ -19,6 +23,9 @@ Conventions:
     ``4*col + row`` holds state entry (row, col). As a big-endian 128-bit
     int, column ``c`` is the 32-bit word ``c`` counted from the top, with
     row 0 in its most significant byte.
+  * A register is the concatenation of N block-form states (or round
+    keys), lane u at bytes ``16u .. 16u+15``; a block is a one-lane
+    register.
   * The state in list form is a 4x4 list of byte rows, indexed
     ``state[row][col]``, so ``block[4*col + row] == state[row][col]``.
   * A round-key schedule is a list of 11 blocks, ``keys[0]`` being the
@@ -26,8 +33,8 @@ Conventions:
     keys[10]`` (352 hex chars).
 """
 
-import struct
-from operator import itemgetter
+from collections import namedtuple
+from functools import lru_cache
 
 BLOCK_BYTES = 16
 BLOCK_BITS = 8 * BLOCK_BYTES
@@ -163,36 +170,64 @@ def mix_columns(state: list) -> list:
     return out
 
 
-# ShiftRows in block form: out[4c + r] = in[4((c + r) % 4) + r].
-_BLOCK_SHIFT_ROWS = itemgetter(*[4 * ((c + r) % 4) + r for c in range(4) for r in range(4)])
-# Multiplying a 32-bit mask by _EACH_WORD repeats it in all four column words.
+# The datapath's masks as one lane in hex, column words 0..3 from the left;
+# _masks repeats them over a register. Row r of ShiftRows rotates left by r
+# columns: its bytes in columns >= r move up r words (32r bits), the rest
+# down 4 - r words, and masking before the shift keeps every byte in its lane.
+_LANE_MASKS = dict(
+    # MixColumns: byte fields of every column word
+    hi24="ffffff00" * 4, lo8="000000ff" * 4, hi16="ffff0000" * 4, lo16="0000ffff" * 4,
+    low7="7f7f7f7f" * 4, lsb="01010101" * 4,
+    # ShiftRows
+    row0="ff000000" * 4,
+    up1="00000000" + "00ff0000" * 3, down1="00ff0000" + "00000000" * 3,
+    up2="00000000" * 2 + "0000ff00" * 2, down2="0000ff00" * 2 + "00000000" * 2,
+    up3="00000000" * 3 + "000000ff", down3="000000ff" * 3 + "00000000",
+    # Key expansion: column 3, columns 1-3, columns 2-3, the lane's last byte
+    col3="00000000" * 3 + "ffffffff", cols123="00000000" + "ffffffff" * 3,
+    cols23="00000000" * 2 + "ffffffff" * 2, lane_lsb="00" * 15 + "01",
+)
+_Masks = namedtuple("_Masks", _LANE_MASKS)
+# Multiplying a lane's last column word by _EACH_WORD repeats it in all four.
 _EACH_WORD = 0x00000001_00000001_00000001_00000001
-_HI24, _LO8 = 0xFFFFFF00 * _EACH_WORD, 0x000000FF * _EACH_WORD
-_HI16, _LO16 = 0xFFFF0000 * _EACH_WORD, 0x0000FFFF * _EACH_WORD
-_LOW7, _LSB = 0x7F7F7F7F * _EACH_WORD, 0x01010101 * _EACH_WORD
 
 
-def block_round(block: bytes, round_key: bytes, final: bool = False) -> bytes:
-    """One AES round on a block-form state; the final round skips MixColumns.
+@lru_cache(maxsize=8)
+def _masks(nbytes: int) -> _Masks:
+    """The lane masks repeated over an ``nbytes``-byte register, as big-endian ints."""
+    lanes = nbytes // BLOCK_BYTES
+    return _Masks._make(int.from_bytes(bytes.fromhex(lane) * lanes, "big")
+                        for lane in _LANE_MASKS.values())
 
-    SubBytes is one ``translate`` and ShiftRows one index permutation.
-    MixColumns mixes all four columns at once on the 128-bit int: with
-    ``rot8``/``rot16`` rotating every column word left by one/two bytes,
-    row r of a column becomes ``2(s_r ^ s_r+1) ^ s_r ^ (s_0 ^ s_1 ^ s_2 ^ s_3)``
-    (Daemen & Rijmen, *The Design of Rijndael*, 2002, section 4.1).
+
+def block_round(register: bytes, round_key: bytes, final: bool = False) -> bytes:
+    """One AES round on every lane of a register; the final round skips MixColumns.
+
+    ``register`` and ``round_key`` hold one block-form state or round key
+    per 16-byte lane, so a register of N lanes runs N blocks at once.
+    SubBytes is one ``translate``; ShiftRows moves each row's bytes by
+    whole words with lane masks. MixColumns mixes every column at once on
+    the big-endian int: with ``rot8``/``rot16`` rotating every column word
+    left by one/two bytes, row r of a column becomes
+    ``2(s_r ^ s_r+1) ^ s_r ^ (s_0 ^ s_1 ^ s_2 ^ s_3)`` (Daemen & Rijmen,
+    *The Design of Rijndael*, 2002, section 4.1).
     """
-    x = int.from_bytes(_BLOCK_SHIFT_ROWS(block.translate(SBOX_BYTES)), "big")
+    m = _masks(len(register))
+    x = int.from_bytes(register.translate(SBOX_BYTES), "big")
+    x = ((x & m.row0) | ((x & m.up1) << 32) | ((x & m.down1) >> 96)
+         | ((x & m.up2) << 64) | ((x & m.down2) >> 64)
+         | ((x & m.up3) << 96) | ((x & m.down3) >> 32))
     if not final:
-        pair = x ^ ((x << 8) & _HI24) ^ ((x >> 24) & _LO8)  # x ^ rot8(x)
-        half = x ^ ((x << 16) & _HI16) ^ ((x >> 16) & _LO16)  # x ^ rot16(x)
-        column = half ^ ((half << 8) & _HI24) ^ ((half >> 24) & _LO8)  # XOR of the column
-        x ^= ((pair & _LOW7) << 1) ^ ((pair >> 7) & _LSB) * 0x1B ^ column  # xtime(pair)
-    return (x ^ int.from_bytes(round_key, "big")).to_bytes(BLOCK_BYTES, "big")
+        pair = x ^ ((x << 8) & m.hi24) ^ ((x >> 24) & m.lo8)  # x ^ rot8(x)
+        half = x ^ ((x << 16) & m.hi16) ^ ((x >> 16) & m.lo16)  # x ^ rot16(x)
+        column = half ^ ((half << 8) & m.hi24) ^ ((half >> 24) & m.lo8)  # XOR of the column
+        x ^= ((pair & m.low7) << 1) ^ ((pair >> 7) & m.lsb) * 0x1B ^ column  # xtime(pair)
+    return (x ^ int.from_bytes(round_key, "big")).to_bytes(len(register), "big")
 
 
 def xor_blocks(a: bytes, b: bytes) -> bytes:
-    """AddRoundKey in block form: the bytewise XOR of two blocks."""
-    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(BLOCK_BYTES, "big")
+    """AddRoundKey in block form: the bytewise XOR of two equally long registers."""
+    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
 
 
 def add_round_key(state: list, round_key: bytes) -> list:
@@ -201,27 +236,35 @@ def add_round_key(state: list, round_key: bytes) -> list:
     return [[state[r][c] ^ round_key[4 * c + r] for c in range(4)] for r in range(4)]
 
 
-_ROUND_KEY_WORDS = struct.Struct(">4I")
+def expand_keys(keys: bytes) -> list:
+    """Expand cipher keys side by side into 11 round-key registers.
+
+    ``keys`` is one 16-byte key per lane; lane u of round-key register i is
+    round key i of key u. The word recurrence runs on all lanes at once:
+    each round XORs every column word with all the words before it in its
+    lane, then with RotWord, SubWord and the round constant of the lane's
+    last word.
+    """
+    if not isinstance(keys, (bytes, bytearray)) or not keys or len(keys) % BLOCK_BYTES:
+        raise ValueError(f"keys must be a positive multiple of {BLOCK_BYTES} bytes")
+    n = len(keys)
+    m = _masks(n)
+    k = int.from_bytes(keys, "big")
+    schedule = [bytes(keys)]
+    for rcon in RCON:
+        last = k & m.col3
+        rotated = ((last << 8) | (last >> 24)) & m.col3
+        sub = int.from_bytes(rotated.to_bytes(n, "big").translate(SBOX_BYTES), "big") & m.col3
+        k ^= (k >> 32) & m.cols123
+        k ^= (k >> 64) & m.cols23
+        k ^= (sub ^ m.lane_lsb * (rcon << 24)) * _EACH_WORD
+        schedule.append(k.to_bytes(n, "big"))
+    return schedule
 
 
 def expand_key(key: bytes) -> list:
-    """Expand a 128-bit cipher key into the 11 round keys.
-
-    Word recurrence on 32-bit ints: every 4th word applies RotWord, SubWord
-    and the round constant; the rest XOR the previous word with the word 4
-    back.
-    """
-    check_block(key)
-    w0, w1, w2, w3 = _ROUND_KEY_WORDS.unpack(key)
-    keys = [bytes(key)]
-    for rcon in RCON:
-        rotated = ((w3 << 8) | (w3 >> 24)) & 0xFFFFFFFF
-        w0 ^= int.from_bytes(rotated.to_bytes(4, "big").translate(SBOX_BYTES), "big") ^ (rcon << 24)
-        w1 ^= w0
-        w2 ^= w1
-        w3 ^= w2
-        keys.append(_ROUND_KEY_WORDS.pack(w0, w1, w2, w3))
-    return keys
+    """Expand one 128-bit cipher key into the 11 round keys."""
+    return expand_keys(check_block(key))
 
 
 def reference_encrypt(key: bytes, plaintext: bytes) -> bytes:

@@ -284,6 +284,30 @@ def test_no_command_writes_over_one_of_its_own_files(tmp_path, monkeypatch, caps
     assert paths[victim].read_bytes() == before
 
 
+_HARD_LINK_CLASHES = {
+    "job-output": (["simulate", "--job", "{job}", "--output", "{link}"],
+                   "--job and --output name the same file"),
+    "job-trace": (["simulate", "--job", "{job}", "--trace", "{link}"],
+                  "--job and --trace name the same file"),
+    "encrypt-input-output": (["encrypt", "--input", "{job}", "--output", "{link}"],
+                             "--input and --output name the same file"),
+}
+
+
+@pytest.mark.parametrize("case", list(_HARD_LINK_CLASHES))
+def test_a_hard_link_to_an_input_is_not_written_over(tmp_path, capsys, case):
+    paths = {"job": tmp_path / "job.txt", "link": tmp_path / "link.txt"}
+    write_job(paths["job"], random.Random(0x59), num_pims=2, blocks_per_unit=1)
+    paths["link"].hardlink_to(paths["job"])
+    before = paths["job"].read_bytes()
+    template, needle = _HARD_LINK_CLASHES[case]
+    assert main([arg.format(**paths) for arg in template]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert needle in captured.err
+    assert captured.out == ""
+    assert paths["job"].read_bytes() == before
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------

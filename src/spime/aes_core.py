@@ -14,7 +14,8 @@ IDLE cycle.
 
 from dataclasses import dataclass, field
 
-from .primitives import NUM_ROUND_KEYS, ZERO_BLOCK, block_round, check_block, expand_key, xor_blocks
+from .primitives import (NUM_ROUND_KEYS, ZERO_BLOCK, block_round, check_block, check_register,
+                         expand_key, xor_blocks)
 
 IDLE = "IDLE"
 INIT = "INIT"
@@ -34,7 +35,8 @@ class AesCoreInputs:
 
     ``round_keys`` is the pre-unpacked view of the flat round-key bus;
     expansion happens upstream of the core. The raw ``key`` port is part
-    of the core's pinout but unused here for the same reason.
+    of the core's pinout but unused here for the same reason. ``data_in``
+    and every round key carry one 16-byte lane per unit, the same count.
     """
 
     start: bool = False
@@ -43,19 +45,19 @@ class AesCoreInputs:
     key: bytes = ZERO_BLOCK
 
     def __post_init__(self):
-        check_block(self.data_in)
+        check_register(self.data_in)
         check_block(self.key)
-        if len(self.round_keys) != NUM_ROUND_KEYS:
-            raise ValueError(f"round_keys must carry {NUM_ROUND_KEYS} keys")
+        if len(self.round_keys) != NUM_ROUND_KEYS or {*map(len, self.round_keys)} != {len(self.data_in)}:
+            raise ValueError(f"round_keys must carry {NUM_ROUND_KEYS} keys as wide as data_in")
 
 
 def datapath(state: str, rnd: int, state_reg: bytes, data_in: bytes, round_keys: list) -> bytes:
     """Next state register of a core executing ``state`` at round counter ``rnd``.
 
     The register holds the AES state in block form, one 16-byte lane per
-    unit, with ``data_in`` and ``round_keys`` in the same layout: a single
-    block for :class:`AesCoreSim`, all N units' states at once for the
-    lockstep array.
+    unit, with ``data_in`` and ``round_keys`` in the same layout: one lane
+    for a lone core, N for the lockstep array's one ``PimUnit`` on N-lane
+    buses. Only this function knows how each state updates the register.
     """
     if state == ROUND:
         return block_round(state_reg, round_keys[rnd + 1])

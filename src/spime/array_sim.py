@@ -6,14 +6,13 @@ the same number of 128-bit blocks; the array holds start high while a
 block is still uncaptured and collects one ciphertext per done pulse.
 
 Timing does not depend on data, so all units follow one control
-trajectory: the array steps a single shared :class:`PimUnit` for the FSMs
-and handshake. All N datapath state registers are lanes of one 16N-byte
-register (unit u at bytes 16u..16u+15), advanced by one
-:func:`~spime.aes_core.datapath` call per busy cycle; the N keys are
-expanded in one :func:`~spime.primitives.expand_keys` call into 11
-round-key registers of the same layout. :class:`PimUnit` stays the
-reference model: an N-unit run matches N independent unit runs cycle for
-cycle.
+trajectory: the array is one :class:`PimUnit` on N-lane buses. Its
+``data_in``, round-key and ``data_out`` buses and its core's state
+register are 16N bytes wide, unit u at bytes 16u..16u+15, so one core
+step advances every unit's state. The N keys are expanded in one
+:func:`~spime.primitives.expand_keys` call into 11 round-key registers
+of the same layout. A per-unit :class:`PimUnit` stays the reference
+model: an N-unit run matches N independent unit runs cycle for cycle.
 With tracing on, the array records the shared control signals once per
 cycle and expands them into the N per-unit trace rows only when read, so
 trace memory does not grow with N.
@@ -28,7 +27,7 @@ Result files have the same shape with ciphertext blocks.
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .aes_core import IDLE, datapath
+from .aes_core import IDLE
 from .controller import C_IDLE, PimUnit, UNIT_CYCLES_PER_BLOCK
 from .primitives import (
     BLOCK_BITS,
@@ -36,11 +35,10 @@ from .primitives import (
     NUM_ROUND_KEYS,
     ZERO_BLOCK,
     block_from_hex,
-    check_block,
     expand_keys,
 )
 
-_ZERO_SCHEDULE = [ZERO_BLOCK] * NUM_ROUND_KEYS
+_IDLE_INPUTS = (ZERO_BLOCK, [ZERO_BLOCK] * NUM_ROUND_KEYS)  # data_in, round_keys
 
 TRACE_HEADER = ["unit", "cycle", "ctrl_state", "aes_start", "core_state", "round", "aes_done", "done"]
 
@@ -97,10 +95,10 @@ class SpimeJob:
                 raise ConfigError(
                     f"unit {u} has {len(seq)} blocks, config requires {cfg.blocks_per_unit}"
                 )
-            for block in seq:
-                check_block(block)
-        for key in self.keys:
-            check_block(key)
+        blocks = [*self.keys, *(block for seq in self.inputs for block in seq)]
+        if (not all(issubclass(t, (bytes, bytearray)) for t in {*map(type, blocks)})
+                or {*map(len, blocks)} != {BLOCK_BYTES}):
+            raise ValueError(f"every key and block must be {BLOCK_BYTES} bytes")
 
 
 @dataclass
@@ -122,7 +120,7 @@ class UnitObservation(NamedTuple):
 
 
 class SpimeArraySim:
-    """N units on a shared clock: one control trajectory, one 16N-byte datapath register."""
+    """N units on a shared clock: one :class:`PimUnit` on 16N-byte buses."""
 
     def __init__(self, cfg: SpimeConfig):
         self.cfg = cfg
@@ -132,14 +130,13 @@ class SpimeArraySim:
     def reset(self) -> None:
         """Global reset: control to IDLE, registers, cycle counter and job cleared."""
         self._control.reset()
+        self._control.core.state_reg = bytes(BLOCK_BYTES * self.cfg.num_pims)
         self._obs = self._observe()
-        self._register = bytes(BLOCK_BYTES * self.cfg.num_pims)
         self.cycle = 0
         self._trace = []  # one control record per cycle: TRACE_HEADER minus "unit"
-        self._job = None
         self._inputs = None  # per block index, the register of every unit's input
         self._round_keys = None
-        self._captured = []  # the register at each done pulse
+        self._captured = []  # the controller's data_out at each done pulse
 
     @staticmethod
     def _lanes(register: bytes) -> list:
@@ -147,8 +144,8 @@ class SpimeArraySim:
 
     @property
     def units(self) -> list:
-        """Each unit's datapath state register, sliced from the shared register."""
-        return self._lanes(self._register)
+        """Each unit's datapath state register, sliced from the core's state register."""
+        return self._lanes(self._control.core.state_reg)
 
     @property
     def _outputs(self) -> list:
@@ -165,33 +162,29 @@ class SpimeArraySim:
     def load_job(self, job: SpimeJob) -> None:
         """Validate a job against the config and stage it for ticking."""
         job.validate(self.cfg)
-        self._job = job
         self._round_keys = expand_keys(b"".join(job.keys))
         self._inputs = [b"".join(blocks) for blocks in zip(*job.inputs)]
         self._captured = []
 
     def job_complete(self) -> bool:
         """True once every block is captured and the control is idle again."""
-        return (self._job is not None and len(self._captured) >= self.cfg.blocks_per_unit
+        return (self._inputs is not None and len(self._captured) >= self.cfg.blocks_per_unit
                 and self._obs[:5] == (C_IDLE, IDLE, False, False, False))
 
     def tick(self) -> list:
         """Advance the array exactly one global cycle; returns observations."""
-        before = self._obs
         # Start is sampled only in IDLE; a busy core works on the first uncaptured block.
         captured = len(self._captured)
-        start = self._job is not None and captured < self.cfg.blocks_per_unit
-        # Timing is data-independent, so the control runs on constant data. It
-        # leaves IDLE only after a start, so below a job is always loaded.
-        self._control.tick(start=start, data_in=ZERO_BLOCK, round_keys=_ZERO_SCHEDULE)
-        if before.core_state != IDLE:
-            self._register = datapath(before.core_state, before.round, self._register,
-                                      self._inputs[captured], self._round_keys)
+        start = self._inputs is not None and captured < self.cfg.blocks_per_unit
+        # Start stays high until the last block is captured, so a core with
+        # start low is idle and reads no data.
+        data_in, round_keys = (self._inputs[captured], self._round_keys) if start else _IDLE_INPUTS
+        self._control.tick(start=start, data_in=data_in, round_keys=round_keys)
 
         self.cycle += 1
         self._obs = obs = self._observe()
         if obs.done:
-            self._captured.append(self._register)
+            self._captured.append(self._control.ctrl.data_out)
         if self.cfg.trace_enabled:
             self._trace.append((self.cycle, obs.ctrl_state, int(obs.aes_start), obs.core_state,
                                 obs.round, int(obs.aes_done), int(obs.done)))

@@ -16,7 +16,7 @@ cycle start is first seen to the cycle the done pulse retires
 """
 
 from .aes_core import AesCoreInputs, AesCoreSim, CORE_CYCLES_PER_BLOCK
-from .primitives import ZERO_BLOCK, check_block, expand_key
+from .primitives import ZERO_BLOCK, check_block, check_register, expand_key
 
 C_IDLE = "IDLE"
 C_START_AES = "START_AES"
@@ -61,7 +61,7 @@ class PimControllerSim:
             self.state = C_WAIT_AES
         elif state == C_WAIT_AES:
             if aes_done:
-                self.data_out = check_block(aes_data_out)
+                self.data_out = check_register(aes_data_out)
                 self.done = True
                 self.state = C_DONE
         elif state == C_DONE:

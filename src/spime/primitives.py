@@ -97,6 +97,12 @@ def check_block(block: bytes) -> bytes:
     return bytes(block)
 
 
+def check_register(register: bytes) -> bytes:
+    if not isinstance(register, (bytes, bytearray)) or not register or len(register) % BLOCK_BYTES:
+        raise ValueError(f"register must be a positive multiple of {BLOCK_BYTES} bytes")
+    return bytes(register)
+
+
 def block_to_state(block: bytes) -> list:
     """Map a block to the 4x4 state: byte 4c+r lands at state[r][c]."""
     check_block(block)
@@ -245,12 +251,11 @@ def expand_keys(keys: bytes) -> list:
     lane, then with RotWord, SubWord and the round constant of the lane's
     last word.
     """
-    if not isinstance(keys, (bytes, bytearray)) or not keys or len(keys) % BLOCK_BYTES:
-        raise ValueError(f"keys must be a positive multiple of {BLOCK_BYTES} bytes")
+    keys = check_register(keys)
     n = len(keys)
     m = _masks(n)
     k = int.from_bytes(keys, "big")
-    schedule = [bytes(keys)]
+    schedule = [keys]
     for rcon in RCON:
         last = k & m.col3
         rotated = ((last << 8) | (last >> 24)) & m.col3

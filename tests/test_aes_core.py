@@ -10,7 +10,7 @@ from spime.aes_core import (
     AesCoreSim,
     encrypt_block,
 )
-from spime.primitives import ZERO_BLOCK, expand_key
+from spime.primitives import ZERO_BLOCK, expand_key, expand_keys
 
 from oracles import (
     FIPS_B_CIPHERTEXT,
@@ -182,3 +182,22 @@ def test_trace_records_cycle_state_round_done():
     assert states == ["IDLE"] + ["INIT"] + ["ROUND"] * 9 + ["FINAL"]
     assert core.trace[-1][3] == 1  # done flagged on the FINAL row
     assert [row[0] for row in core.trace] == list(range(1, 13))
+
+
+def test_two_lane_buses_encrypt_both_lanes():
+    keys, plaintexts = [FIPS_C1_KEY, FIPS_B_KEY], [FIPS_C1_PLAINTEXT, FIPS_B_PLAINTEXT]
+    round_keys = expand_keys(b"".join(keys))
+    data_in = b"".join(plaintexts)
+    core = AesCoreSim()
+    core.step(AesCoreInputs(start=True, data_in=data_in, round_keys=round_keys))
+    hold = AesCoreInputs(start=False, data_in=data_in, round_keys=round_keys)
+    for _ in range(CORE_CYCLES_PER_BLOCK):
+        core.step(hold)
+    assert core.done
+    assert core.data_out == b"".join(aes128_ecb(k, p) for k, p in zip(keys, plaintexts))
+
+
+@pytest.mark.parametrize("lanes_in, lanes_keys", [(2, 1), (1, 2)], ids=["narrow-keys", "wide-keys"])
+def test_inputs_refuse_round_keys_of_another_width(lanes_in, lanes_keys):
+    with pytest.raises(ValueError):
+        AesCoreInputs(data_in=bytes(16 * lanes_in), round_keys=expand_keys(bytes(16 * lanes_keys)))

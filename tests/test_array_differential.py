@@ -9,7 +9,7 @@ every unit has begun its last block, and each unit's pending block on its
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spime import array_sim
+from spime import aes_core, array_sim
 from spime.array_sim import SpimeConfig, SpimeJob, UnitObservation, build_array
 from spime.controller import PimUnit
 from spime.primitives import expand_key
@@ -115,3 +115,22 @@ def test_array_builds_one_control_unit(monkeypatch):
         array = build_array(SpimeConfig(num_pims=num_pims))
         assert len(built) == 1
         assert len(array.units) == num_pims
+
+
+def test_array_runs_one_datapath_on_the_whole_register(monkeypatch):
+    widths = []
+
+    def recording(fn):
+        def wrapper(register, *args, **kwargs):
+            widths.append(len(register))
+            return fn(register, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(aes_core, "block_round", recording(aes_core.block_round))
+    monkeypatch.setattr(aes_core, "xor_blocks", recording(aes_core.xor_blocks))
+    job = SpimeJob(keys=[bytes([u]) * 16 for u in range(3)],
+                   inputs=[[bytes([u, b]) * 8 for b in range(2)] for u in range(3)])
+    result = build_array(make_cfg(job)).run_job(job)
+    assert widths == [48] * 22  # 11 datapath operations per block, all 3 lanes at once
+    for key, seq, out in zip(job.keys, job.inputs, result.outputs):
+        assert out == [aes128_ecb(key, block) for block in seq]

@@ -161,6 +161,23 @@ def test_job_shape_mismatch_rejected():
         array.run_job(random_job(rng, 3, 4))  # wrong per-unit length
 
 
+@pytest.mark.parametrize(
+    "keys, inputs",
+    [
+        ([bytes(15), bytes(17)], [[bytes(16)], [bytes(16)]]),
+        ([bytes(16), bytes(16)], [[bytes(15)], [bytes(17)]]),
+        (["00" * 8], [[bytes(16)]]),
+    ],
+    ids=["keys-15-17", "blocks-15-17", "str-key"],
+)
+def test_job_with_a_bad_key_or_block_is_refused_before_any_tick(keys, inputs):
+    # 15 + 17 bytes join to a valid 32-byte register, so only validate can catch them.
+    array = build_array(make_cfg(num_pims=len(keys), blocks_per_unit=1))
+    with pytest.raises(ValueError):
+        array.run_job(SpimeJob(keys=keys, inputs=inputs))
+    assert array.cycle == 0
+
+
 # ---------------------------------------------------------------------------
 # tick-level observation
 # ---------------------------------------------------------------------------

@@ -163,3 +163,13 @@ def test_controller_trace_schema():
     ctrl.step(start=False, aes_done=False, aes_data_out=ZERO_BLOCK)
     assert ctrl.trace[0] == (1, "IDLE", 1, 0, 0)
     assert ctrl.trace[1] == (2, "START_AES", 0, 0, 0)
+
+
+def test_controller_latches_a_two_lane_data_out():
+    register = bytes(range(32))
+    ctrl = PimControllerSim()
+    ctrl.step(start=True, aes_done=False, aes_data_out=ZERO_BLOCK)  # -> START_AES
+    ctrl.step(start=False, aes_done=False, aes_data_out=ZERO_BLOCK)  # -> WAIT_AES
+    ctrl.step(start=False, aes_done=True, aes_data_out=register)  # -> DONE
+    assert ctrl.done
+    assert ctrl.data_out == register

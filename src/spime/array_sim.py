@@ -14,8 +14,8 @@ step advances every unit's state. The N keys are expanded in one
 of the same layout. A per-unit :class:`PimUnit` stays the reference
 model: an N-unit run matches N independent unit runs cycle for cycle.
 With tracing on, the array records the shared control signals once per
-cycle and expands them into the N per-unit trace rows only when read, so
-trace memory does not grow with N.
+cycle and renders each as one string of N CSV rows, the record behind
+each unit number, only when read, so trace memory does not grow with N.
 
 Job file format (one line per unit, '#' comments allowed):
 
@@ -190,15 +190,31 @@ class SpimeArraySim:
                                 obs.round, int(obs.aes_done), int(obs.done)))
         return [obs] * self.cfg.num_pims
 
+    def iter_trace_lines(self):
+        """Yield the trace CSV text: the header line, then one string per cycle.
+
+        A cycle's string holds its N rows, newline-separated and without a
+        final newline. No field can hold a comma or a quote (ints and FSM
+        state names), so plain joining gives the bytes ``csv.writer`` would.
+        """
+        yield ",".join(TRACE_HEADER)
+        prefixes = [f"{u}," for u in range(self.cfg.num_pims)]
+        for record in self._trace:
+            tail = ",".join(map(str, record))
+            yield (tail + "\n").join(prefixes) + tail
+
     def iter_trace_rows(self):
-        """Yield the trace rows in TRACE_HEADER order: per cycle, one row per unit."""
+        """Yield the trace rows in TRACE_HEADER order: per cycle, one row per unit.
+
+        ``simulate`` writes :meth:`iter_trace_lines` instead; the rows serve the tests.
+        """
         for record in self._trace:
             for u in range(self.cfg.num_pims):
                 yield [u, *record]
 
     @property
     def trace_rows(self) -> list:
-        """All trace rows as a list; :meth:`iter_trace_rows` streams them."""
+        """All trace rows as a list; only the tests use it."""
         return list(self.iter_trace_rows())
 
     def run_job(self, job: SpimeJob) -> SpimeResult:

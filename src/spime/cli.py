@@ -15,7 +15,6 @@ import sys
 
 from .aes_core import encrypt_block
 from .array_sim import (
-    TRACE_HEADER,
     SpimeConfig,
     build_array,
     format_result_lines,
@@ -147,7 +146,7 @@ def cmd_simulate(args) -> int:
 
     _write_lines(args.output, format_result_lines(job, result))
     if args.trace is not None:
-        _write_csv(args.trace, TRACE_HEADER, array.iter_trace_rows())
+        _write_lines(args.trace, array.iter_trace_lines())
     # Report success only once every output is written.
     print(
         f"num_pims={cfg.num_pims} blocks_per_unit={cfg.blocks_per_unit} "

@@ -1,10 +1,13 @@
 """Lockstep-array behavior: parallel equivalence, isolation, file formats."""
 
+import csv
+import io
 import random
 
 import pytest
 
 from spime.array_sim import (
+    TRACE_HEADER,
     ConfigError,
     JobFormatError,
     SpimeConfig,
@@ -223,6 +226,28 @@ def test_trace_rows_carry_unit_prefix():
     assert len(array.trace_rows) == 2 * UNIT_CYCLES_PER_BLOCK
     assert sorted({row[0] for row in array.trace_rows}) == [0, 1]
     assert all(len(row) == 8 for row in array.trace_rows)
+
+
+@pytest.mark.parametrize("num_pims,blocks_per_unit", [(1, 1), (1, 3), (2, 1), (3, 5), (4, 2)])
+def test_trace_lines_are_the_csv_writer_bytes(num_pims, blocks_per_unit):
+    rng = random.Random(0xAD)
+    array = build_array(make_cfg(num_pims, blocks_per_unit, trace=True))
+    array.run_job(random_job(rng, num_pims, blocks_per_unit))
+    lines = list(array.iter_trace_lines())
+    want = io.StringIO()
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(TRACE_HEADER)
+    writer.writerows(array.iter_trace_rows())
+    assert "\n".join(lines) + "\n" == want.getvalue()
+    assert len(lines) == 1 + array.cycle
+    assert all(len(line.split("\n")) == num_pims for line in lines[1:])
+
+
+def test_trace_lines_without_tracing_hold_only_the_header():
+    rng = random.Random(0xAE)
+    array = build_array(make_cfg(num_pims=3, blocks_per_unit=2))
+    array.run_job(random_job(rng, 3, 2))
+    assert list(array.iter_trace_lines()) == [",".join(TRACE_HEADER)]
 
 
 # ---------------------------------------------------------------------------

@@ -232,6 +232,19 @@ def test_simulate_trace_memory_does_not_grow_with_units(tmp_path, capsys):
     assert traced - plain <= 256 * 1024
 
 
+def test_simulate_trace_memory_holds_one_cycle_at_4096_units(tmp_path, capsys):
+    # 4096 units x 1 block: a 1.7 MiB trace, about 120 KiB per cycle.
+    job_path = tmp_path / "job.txt"
+    write_job(job_path, random.Random(0x57), num_pims=4096, blocks_per_unit=1)
+    argv = ["simulate", "--job", str(job_path), "--output", str(tmp_path / "out.txt")]
+    trace_argv = argv + ["--trace", str(tmp_path / "trace.csv")]
+    assert main(trace_argv) == EXIT_OK  # warm-up: lazy imports and caches
+    plain = _peak_traced_bytes(argv)
+    traced = _peak_traced_bytes(trace_argv)
+    capsys.readouterr()
+    assert traced - plain <= 512 * 1024
+
+
 def test_simulate_reports_success_only_after_the_trace_is_written(tmp_path, capsys):
     job_path = tmp_path / "job.txt"
     write_job(job_path, random.Random(0x56), num_pims=1, blocks_per_unit=1)

@@ -56,7 +56,7 @@ def _reading(what):
 
 
 def _read_job(path, blocks_per_unit=None):
-    with _reading(path), open(path, encoding="utf-8") as fh:
+    with _reading(path), open(path, encoding="utf-8-sig") as fh:
         return parse_job_lines(fh.read().splitlines(), blocks_per_unit)
 
 
@@ -184,13 +184,14 @@ def cmd_sweep(args) -> int:
 
 def cmd_devices(_args) -> int:
     catalog = _load_catalog()
-    header = f"{'Device':<8} {'Part':<22} {'LUTs':>6} {'FFs':>6} {'BRAM':>5} {'URAM':>5} {'DSPs':>5}"
-    print(header)
+    header = (f"{'Device':<8} {'Part':<22} {'LUTs':>6} {'FFs':>6} {'BRAM':>5} {'URAM':>5} "
+              f"{'DSPs':>5} {'Family':<10}")
+    print(header.rstrip())
     print("-" * len(header))
     for spec in catalog.values():
         print(
             f"{spec.name:<8} {spec.part:<22} {spec.luts // 1000:>5}K {spec.ffs // 1000:>5}K "
-            f"{spec.bram:>5} {spec.uram:>5} {spec.dsps:>5}"
+            f"{spec.bram:>5} {spec.uram:>5} {spec.dsps:>5} {spec.family}"
         )
     return EXIT_OK
 

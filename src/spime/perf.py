@@ -16,8 +16,9 @@ latency it means:
     the formula applied verbatim; it grows with block size.
 
 Utilization is calibrated from two measured operating points at 4096
-units (datacenter parts: 3.65% LUT / <2% FF; embedded ZCU parts:
-18.44% LUT / ~10% FF) and extrapolated linearly. FF anchors are upper
+units and extrapolated linearly: 3.65% LUT / <2% FF on datacenter parts
+and 18.44% LUT / ~10% FF on embedded parts, which are the parts with
+fewer than 1,000,000 LUTs, whatever their name. FF anchors are upper
 bounds, so FF percentages are approximate.
 """
 
@@ -37,10 +38,7 @@ DEFAULT_CYCLES_PER_TASK = CORE_CYCLES_PER_BLOCK
 
 ANCHOR_NUM_PIMS = 4096
 # (lut_pct, ff_pct) measured at ANCHOR_NUM_PIMS units, per device family.
-DATACENTER_ANCHORS = (3.65, 2.0)
-EMBEDDED_ANCHORS = (18.44, 10.0)
-_EMBEDDED_DEVICES = {"ZCU104", "ZCU106"}
-# Family fallback for catalogs beyond the built-in one.
+FAMILY_ANCHORS = {"datacenter": (3.65, 2.0), "embedded": (18.44, 10.0)}
 _EMBEDDED_LUT_LIMIT = 1_000_000
 
 CATALOG_ENV_VAR = "SPIME_DEVICE_CATALOG"
@@ -66,7 +64,7 @@ class SweepError(ValueError):
 
 @dataclass
 class DeviceSpec:
-    """One FPGA part: absolute resource counts plus calibrated per-unit costs."""
+    """One FPGA part: absolute resource counts, its family and calibrated per-unit costs."""
 
     name: str
     part: str
@@ -75,6 +73,7 @@ class DeviceSpec:
     bram: int
     uram: int
     dsps: int
+    family: str = field(init=False)
     per_pim_lut_cost: float = field(init=False)
     per_pim_ff_cost: float = field(init=False)
 
@@ -82,16 +81,12 @@ class DeviceSpec:
         for label in ("luts", "ffs", "bram", "uram", "dsps"):
             if getattr(self, label) <= 0:
                 raise ValueError(f"{self.name}: {label} must be positive")
-        lut_pct, ff_pct = self._anchors()
+        self.family = "embedded" if self.luts < _EMBEDDED_LUT_LIMIT else "datacenter"
+        lut_pct, ff_pct = FAMILY_ANCHORS[self.family]
         self.per_pim_lut_cost = self.luts * lut_pct / 100.0 / ANCHOR_NUM_PIMS
         self.per_pim_ff_cost = self.ffs * ff_pct / 100.0 / ANCHOR_NUM_PIMS
         if not (math.isfinite(self.per_pim_lut_cost) and math.isfinite(self.per_pim_ff_cost)):
             raise OverflowError(f"{self.name}: per-unit cost is not finite")
-
-    def _anchors(self):
-        if self.name in _EMBEDDED_DEVICES or self.luts < _EMBEDDED_LUT_LIMIT:
-            return EMBEDDED_ANCHORS
-        return DATACENTER_ANCHORS
 
 
 @dataclass
@@ -219,7 +214,8 @@ def load_device_catalog(path: str = None) -> dict:
     Raises ValueError naming the CSV line for a malformed line, a missing
     column, a non-integer or non-positive count, a count too large for a float
     (or whose per-unit cost is not finite) or a repeated device name; a file
-    that is not UTF-8 raises UnicodeDecodeError, also a ValueError.
+    that is not UTF-8 raises UnicodeDecodeError, also a ValueError. A leading
+    UTF-8 byte-order mark is skipped.
     """
     if path is None:
         path = os.environ.get(CATALOG_ENV_VAR)
@@ -229,7 +225,7 @@ def load_device_catalog(path: str = None) -> dict:
         lines = text.splitlines()
     else:
         source = path
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             lines = fh.read().splitlines()
     reader = csv.DictReader(lines)
     try:

@@ -45,7 +45,7 @@ ZERO_BLOCK = bytes(BLOCK_BYTES)
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 # Rijndael S-box (forward only; decryption is out of scope).
-SBOX = [
+SBOX = bytes([
     0x63, 0x7C, 0x77, 0x7B, 0xF2, 0x6B, 0x6F, 0xC5, 0x30, 0x01, 0x67, 0x2B, 0xFE, 0xD7, 0xAB, 0x76,
     0xCA, 0x82, 0xC9, 0x7D, 0xFA, 0x59, 0x47, 0xF0, 0xAD, 0xD4, 0xA2, 0xAF, 0x9C, 0xA4, 0x72, 0xC0,
     0xB7, 0xFD, 0x93, 0x26, 0x36, 0x3F, 0xF7, 0xCC, 0x34, 0xA5, 0xE5, 0xF1, 0x71, 0xD8, 0x31, 0x15,
@@ -62,9 +62,7 @@ SBOX = [
     0x70, 0x3E, 0xB5, 0x66, 0x48, 0x03, 0xF6, 0x0E, 0x61, 0x35, 0x57, 0xB9, 0x86, 0xC1, 0x1D, 0x9E,
     0xE1, 0xF8, 0x98, 0x11, 0x69, 0xD9, 0x8E, 0x94, 0x9B, 0x1E, 0x87, 0xE9, 0xCE, 0x55, 0x28, 0xDF,
     0x8C, 0xA1, 0x89, 0x0D, 0xBF, 0xE6, 0x42, 0x68, 0x41, 0x99, 0x2D, 0x0F, 0xB0, 0x54, 0xBB, 0x16,
-]
-
-SBOX_BYTES = bytes(SBOX)
+])
 
 # Round constants for the key-expansion word recurrence (first word of each).
 RCON = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36]
@@ -158,21 +156,15 @@ def mul_by_3(b: int) -> int:
     return mul_by_2(b) ^ b
 
 
-# Lookup forms of the two multipliers keep mix_columns out of the
-# per-byte branch; built from the defining functions above.
-_MUL2 = [mul_by_2(b) for b in range(256)]
-_MUL3 = [mul_by_3(b) for b in range(256)]
-
-
 def mix_columns(state: list) -> list:
     """Mix each column with the (2, 3, 1, 1) circulant over GF(2^8)."""
     out = [[0] * 4 for _ in range(4)]
     for c in range(4):
         s0, s1, s2, s3 = state[0][c], state[1][c], state[2][c], state[3][c]
-        out[0][c] = _MUL2[s0] ^ _MUL3[s1] ^ s2 ^ s3
-        out[1][c] = s0 ^ _MUL2[s1] ^ _MUL3[s2] ^ s3
-        out[2][c] = s0 ^ s1 ^ _MUL2[s2] ^ _MUL3[s3]
-        out[3][c] = _MUL3[s0] ^ s1 ^ s2 ^ _MUL2[s3]
+        out[0][c] = mul_by_2(s0) ^ mul_by_3(s1) ^ s2 ^ s3
+        out[1][c] = s0 ^ mul_by_2(s1) ^ mul_by_3(s2) ^ s3
+        out[2][c] = s0 ^ s1 ^ mul_by_2(s2) ^ mul_by_3(s3)
+        out[3][c] = mul_by_3(s0) ^ s1 ^ s2 ^ mul_by_2(s3)
     return out
 
 
@@ -219,7 +211,7 @@ def block_round(register: bytes, round_key: bytes, final: bool = False) -> bytes
     *The Design of Rijndael*, 2002, section 4.1).
     """
     m = _masks(len(register))
-    x = int.from_bytes(register.translate(SBOX_BYTES), "big")
+    x = int.from_bytes(register.translate(SBOX), "big")
     x = ((x & m.row0) | ((x & m.up1) << 32) | ((x & m.down1) >> 96)
          | ((x & m.up2) << 64) | ((x & m.down2) >> 64)
          | ((x & m.up3) << 96) | ((x & m.down3) >> 32))
@@ -259,7 +251,7 @@ def expand_keys(keys: bytes) -> list:
     for rcon in RCON:
         last = k & m.col3
         rotated = ((last << 8) | (last >> 24)) & m.col3
-        sub = int.from_bytes(rotated.to_bytes(n, "big").translate(SBOX_BYTES), "big") & m.col3
+        sub = int.from_bytes(rotated.to_bytes(n, "big").translate(SBOX), "big") & m.col3
         k ^= (k >> 32) & m.cols123
         k ^= (k >> 64) & m.cols23
         k ^= (sub ^ m.lane_lsb * (rcon << 24)) * _EACH_WORD

@@ -1,6 +1,7 @@
 """End-to-end tests of the spime command-line interface."""
 
 import csv
+import hashlib
 import io
 import pathlib
 import random
@@ -252,6 +253,27 @@ def test_simulate_reports_success_only_after_the_trace_is_written(tmp_path, caps
             "--trace", str(tmp_path)]  # a directory: the trace cannot be opened
     assert main(argv) == EXIT_IO
     assert "num_pims=" not in capsys.readouterr().out
+
+
+# The trace holds only control signals, so its bytes depend only on the
+# array shape (units, blocks per unit); CI and the benchmark pin the same digests.
+_GOLDEN_TRACE_SHA256 = {
+    (4, 2): "a70bcfadd007603e2a45018ab19e09cc5ceef0e8078e2bfc9ff28a5d7f71d458",
+    (1024, 4): "ca360e04c59dade347e6b8dfc3f89bdced7b2d0b84290f3be1c82ecf3cbdf5df",
+}
+
+
+@pytest.mark.parametrize("shape", list(_GOLDEN_TRACE_SHA256), ids=["4x2", "1024x4"])
+def test_simulate_trace_matches_its_golden_digest(tmp_path, capsys, shape):
+    num_pims, blocks_per_unit = shape
+    job_path = tmp_path / "c1.job"
+    job_path.write_text(f"{C1_KEY_HEX} {','.join([C1_PT_HEX] * blocks_per_unit)}\n" * num_pims)
+    trace_path = tmp_path / "trace.csv"
+    argv = ["simulate", "--job", str(job_path), "--output", str(tmp_path / "out.txt"),
+            "--trace", str(trace_path)]
+    assert main(argv) == EXIT_OK
+    capsys.readouterr()
+    assert hashlib.sha256(trace_path.read_bytes()).hexdigest() == _GOLDEN_TRACE_SHA256[shape]
 
 
 @pytest.mark.parametrize("spelling", ["identical", "dot-alias"])
@@ -526,6 +548,15 @@ def test_devices_lists_full_catalog(capsys):
         assert name in out
 
 
+def test_devices_prints_each_part_family(capsys):
+    assert main(["devices"]) == EXIT_OK
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert {row.split()[0]: row.split()[-1] for row in rows} == {
+        "U55C": "datacenter", "U280": "datacenter", "VCU118": "datacenter",
+        "ZCU104": "embedded", "ZCU106": "embedded",
+    }
+
+
 _CATALOG_HEADER = "name,part,luts,ffs,bram,uram,dsps\n"
 _CATALOG_ROW = "BIG,custom-part,2000000,4000000,100,10,50\n"
 
@@ -641,6 +672,60 @@ def test_undecodable_input_file_is_a_usage_error(tmp_path, capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert str(path) in captured.err
+
+
+_BOM = b"\xef\xbb\xbf"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["simulate", "--job"], ["encrypt", "--input"]],
+    ids=["simulate-job", "encrypt-input"],
+)
+def test_input_file_with_a_byte_order_mark_gives_the_same_result(tmp_path, capsys, argv):
+    plain = tmp_path / "plain.txt"
+    write_job(plain, random.Random(0x58), num_pims=3, blocks_per_unit=1)
+    marked = tmp_path / "marked.txt"
+    marked.write_bytes(_BOM + plain.read_bytes())
+    results = []
+    for path in (plain, marked):
+        out_path = tmp_path / f"{path.stem}.out"
+        assert main(argv + [str(path), "--output", str(out_path)]) == EXIT_OK
+        results.append(out_path.read_bytes())
+    capsys.readouterr()
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("argv", [["devices"], ["sweep", "--device", "BIG"]])
+def test_catalog_with_a_byte_order_mark_loads(tmp_path, monkeypatch, capsys, argv):
+    plain = tmp_path / "plain.csv"
+    plain.write_text(_CATALOG_HEADER + _CATALOG_ROW)
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(_BOM + plain.read_bytes())
+    outputs = []
+    for path in (plain, marked):
+        monkeypatch.setenv("SPIME_DEVICE_CATALOG", str(path))
+        assert main(argv) == EXIT_OK
+        outputs.append(capsys.readouterr().out)
+    assert "BIG" in outputs[0]
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["simulate", "--job"], ["encrypt", "--input"], ["devices"]],
+    ids=["simulate-job", "encrypt-input", "catalog"],
+)
+def test_byte_order_mark_before_undecodable_bytes_is_a_usage_error(
+        tmp_path, monkeypatch, capsys, argv):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(_BOM + _NOT_UTF8)
+    if argv == ["devices"]:
+        monkeypatch.setenv("SPIME_DEVICE_CATALOG", str(path))
+    else:
+        argv = argv + [str(path)]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().out == ""
 
 
 def test_encrypt_rejects_spaced_hex_operand(capsys):

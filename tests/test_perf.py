@@ -204,6 +204,29 @@ def test_env_var_overrides_catalog(tmp_path, monkeypatch):
     assert utilization_pct(catalog["BIG"], 4096, "LUT") == 3.65
 
 
+def test_family_follows_the_lut_count_not_the_name(tmp_path):
+    path = tmp_path / "catalog.csv"
+    path.write_text(
+        "name,part,luts,ffs,bram,uram,dsps\n"
+        "ZCU104,custom-part,2000000,4000000,100,10,50\n"
+    )
+    device = load_device_catalog(str(path))["ZCU104"]
+    assert device.family == "datacenter"
+    assert utilization_pct(device, 4096, "LUT") == 3.65
+
+
+@pytest.mark.parametrize(
+    "luts, family, lut_pct",
+    [(999_999, "embedded", 18.44), (1_000_000, "datacenter", 3.65)],
+)
+def test_family_boundary_is_one_million_luts(luts, family, lut_pct):
+    spec = DeviceSpec(name="X", part="p", luts=luts, ffs=1, bram=1, uram=1, dsps=1)
+    assert spec.family == family
+    assert utilization_pct(spec, 4096, "LUT") == pytest.approx(lut_pct)
+    with pytest.raises(TypeError):
+        DeviceSpec(name="X", part="p", luts=luts, ffs=1, bram=1, uram=1, dsps=1, family=family)
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------

@@ -13,8 +13,10 @@ import csv
 import os
 import sys
 
+from . import perf
 from .aes_core import encrypt_block
 from .array_sim import (
+    ConfigError,
     SpimeConfig,
     build_array,
     format_result_lines,
@@ -23,7 +25,6 @@ from .array_sim import (
 from .controller import UNIT_CYCLES_PER_BLOCK
 from .perf import (
     AGGREGATE,
-    CATALOG_ENV_VAR,
     CSV_HEADER,
     DEFAULT_CYCLES_PER_TASK,
     PER_UNIT,
@@ -57,7 +58,7 @@ def _reading(what):
 
 def _read_job(path, blocks_per_unit=None):
     with _reading(path), open(path, encoding="utf-8-sig") as fh:
-        return parse_job_lines(fh.read().splitlines(), blocks_per_unit)
+        return parse_job_lines(fh, blocks_per_unit)
 
 
 def _load_catalog():
@@ -136,8 +137,10 @@ def cmd_encrypt(args) -> int:
 def cmd_simulate(args) -> int:
     _refuse_shared_files({"--job": args.job, "--output": args.output, "--trace": args.trace})
     job = _read_job(args.job)
+    if args.num_pims not in (None, len(job.keys)):
+        raise ConfigError(f"--num-pims {args.num_pims} but the job holds {len(job.keys)} units")
     cfg = SpimeConfig(
-        num_pims=len(job.keys) if args.num_pims is None else args.num_pims,
+        num_pims=len(job.keys),
         per_pim_block_bits=len(job.inputs[0]) * BLOCK_BITS,
         trace_enabled=args.trace is not None,
     )
@@ -162,7 +165,9 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_sweep(args) -> int:
-    _refuse_shared_files({CATALOG_ENV_VAR: os.environ.get(CATALOG_ENV_VAR), "--output": args.output})
+    catalog = perf.catalog_path()
+    label = "the built-in device catalog" if catalog == perf.BUILTIN_CATALOG else perf.CATALOG_ENV_VAR
+    _refuse_shared_files({label: catalog, "--output": args.output})
     grid = {name: getattr(args, name) for name in GRID_FLAGS}
     if args.figure is not None:
         given = [f"--{name.replace('_', '-')}" for name, value in grid.items() if value is not None]
@@ -244,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dev = sub.add_parser("devices", help="list the FPGA device catalog")
     p_dev.set_defaults(func=cmd_devices)
-    parser.epilog = f"Set {CATALOG_ENV_VAR} to override the device catalog CSV."
+    parser.epilog = f"Set {perf.CATALOG_ENV_VAR} to override the device catalog CSV."
     return parser
 
 

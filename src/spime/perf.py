@@ -26,7 +26,6 @@ import csv
 import math
 import os
 from dataclasses import dataclass, field
-from importlib import resources
 
 from .aes_core import CORE_CYCLES_PER_BLOCK
 from .primitives import BLOCK_BITS
@@ -42,6 +41,7 @@ FAMILY_ANCHORS = {"datacenter": (3.65, 2.0), "embedded": (18.44, 10.0)}
 _EMBEDDED_LUT_LIMIT = 1_000_000
 
 CATALOG_ENV_VAR = "SPIME_DEVICE_CATALOG"
+BUILTIN_CATALOG = os.path.join(os.path.dirname(__file__), "data", "devices.csv")
 CATALOG_COLUMNS = ("name", "part", "luts", "ffs", "bram", "uram", "dsps")
 
 CSV_HEADER = [
@@ -206,35 +206,32 @@ def sweep_csv_rows(pairs, interpretation: str = AGGREGATE) -> list:
 # Device catalog
 # ---------------------------------------------------------------------------
 
-def load_device_catalog(path: str = None) -> dict:
-    """Load the device catalog CSV; falls back to the packaged table.
+def catalog_path() -> str:
+    """The device catalog file: CATALOG_ENV_VAR if set, else the packaged table."""
+    return os.environ.get(CATALOG_ENV_VAR, BUILTIN_CATALOG)
 
-    Explicit ``path`` wins, then the CATALOG_ENV_VAR environment variable,
-    then the built-in file. Returns an ordered name -> DeviceSpec map.
-    Raises ValueError naming the CSV line for a malformed line, a missing
-    column, a non-integer or non-positive count, a count too large for a float
-    (or whose per-unit cost is not finite) or a repeated device name; a file
-    that is not UTF-8 raises UnicodeDecodeError, also a ValueError. A leading
-    UTF-8 byte-order mark is skipped.
+
+def load_device_catalog(path: str = None) -> dict:
+    """Load the device catalog CSV at ``path``, by default :func:`catalog_path`.
+
+    Returns an ordered name -> DeviceSpec map. Lines end only at ``\\n``, ``\\r\\n``
+    or ``\\r``. Raises ValueError naming the file and CSV line for a malformed
+    line, a missing column, a non-integer or non-positive count, a count too
+    large for a float (or whose per-unit cost is not finite) or a repeated
+    device name; a file that is not UTF-8 raises UnicodeDecodeError, also a
+    ValueError. A leading UTF-8 byte-order mark is skipped.
     """
     if path is None:
-        path = os.environ.get(CATALOG_ENV_VAR)
-    if path is None:
-        source = "built-in catalog"
-        text = resources.files("spime").joinpath("data/devices.csv").read_text()
-        lines = text.splitlines()
-    else:
-        source = path
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            lines = fh.read().splitlines()
-    reader = csv.DictReader(lines)
-    try:
-        rows = [(reader.line_num, row) for row in reader]
-    except csv.Error as exc:
-        raise ValueError(f"{source} line {reader.reader.line_num}: {exc}") from None
+        path = catalog_path()
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.DictReader(fh)
+        try:
+            rows = [(reader.line_num, row) for row in reader]
+        except csv.Error as exc:
+            raise ValueError(f"{path} line {reader.reader.line_num}: {exc}") from None
     catalog = {}
     for line_num, row in rows:
-        where = f"{source} line {line_num}"
+        where = f"{path} line {line_num}"
         missing = [c for c in CATALOG_COLUMNS if row.get(c) is None]
         if missing:
             raise ValueError(f"{where}: missing column(s) {', '.join(missing)}")

@@ -8,9 +8,10 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import spime.perf
 from spime.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from spime.controller import UNIT_CYCLES_PER_BLOCK
 from spime.primitives import reference_encrypt
@@ -158,6 +159,19 @@ def test_simulate_num_pims_mismatch(tmp_path, capsys):
     write_job(job_path, rng, num_pims=2, blocks_per_unit=1)
     assert main(["simulate", "--job", str(job_path), "--num-pims", "8"]) == EXIT_USAGE
     capsys.readouterr()
+
+
+def test_simulate_num_pims_beyond_the_address_space_is_refused_before_the_array_is_built(
+        tmp_path, capsys):
+    # 10**15 units would need 16 PB of registers: the count is compared with
+    # the job before any register is allocated.
+    job_path = tmp_path / "job.txt"
+    write_job(job_path, random.Random(0x5A), num_pims=1, blocks_per_unit=1)
+    num_pims = str(10**15)
+    assert main(["simulate", "--job", str(job_path), "--num-pims", num_pims]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--num-pims {num_pims} but the job holds 1 units" in captured.err
 
 
 def test_simulate_reports_bad_line_number(tmp_path, capsys):
@@ -317,6 +331,31 @@ def test_no_command_writes_over_one_of_its_own_files(tmp_path, monkeypatch, caps
     assert needle in captured.err
     assert captured.out == ""
     assert paths[victim].read_bytes() == before
+
+
+def test_sweep_does_not_write_over_the_built_in_catalog(tmp_path, monkeypatch, capsys):
+    # A copy stands in for the packaged table, which is never written here.
+    packaged = pathlib.Path(spime.perf.__file__).parent / "data" / "devices.csv"
+    copy = tmp_path / "devices.csv"
+    copy.write_bytes(packaged.read_bytes())
+    monkeypatch.setattr(spime.perf, "BUILTIN_CATALOG", str(copy), raising=False)
+    monkeypatch.delenv("SPIME_DEVICE_CATALOG", raising=False)
+    assert main(["sweep", "--figure", "3", "--output", str(copy)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "the built-in device catalog and --output name the same file" in captured.err
+    assert captured.out == ""
+    assert copy.read_bytes() == packaged.read_bytes()
+
+
+def test_a_corrupt_built_in_catalog_names_its_path(tmp_path, monkeypatch, capsys):
+    copy = tmp_path / "devices.csv"
+    copy.write_text(_CATALOG_HEADER + _CATALOG_ROW + _CATALOG_ROW)
+    monkeypatch.setattr(spime.perf, "BUILTIN_CATALOG", str(copy), raising=False)
+    monkeypatch.delenv("SPIME_DEVICE_CATALOG", raising=False)
+    assert main(["devices"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert f"{copy} line 3: duplicate device name 'BIG'" in captured.err
+    assert captured.out == ""
 
 
 _HARD_LINK_CLASHES = {
@@ -728,6 +767,20 @@ def test_byte_order_mark_before_undecodable_bytes_is_a_usage_error(
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["simulate", "--job"], ["encrypt", "--input"]],
+    ids=["simulate-job", "encrypt-input"],
+)
+def test_a_form_feed_in_a_comment_does_not_shift_line_numbers(tmp_path, capsys, argv):
+    path = tmp_path / "job.txt"
+    path.write_text(f"# note\x0c# more\n{C1_KEY_HEX} {C1_PT_HEX}\n{C1_KEY_HEX} zz\n")
+    assert main(argv + [str(path)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{path}: line 3: " in captured.err
+
+
 def test_encrypt_rejects_spaced_hex_operand(capsys):
     spaced = "00 11 2233445566778899aabbccddee"  # 32 chars, only 15 bytes
     assert main(["encrypt", spaced, C1_PT_HEX]) == EXIT_USAGE
@@ -811,3 +864,44 @@ def test_any_device_catalog_exits_0_or_2(tmp_path, monkeypatch, capsys, data):
     path.write_bytes(data)
     monkeypatch.setenv("SPIME_DEVICE_CATALOG", str(path))
     _assert_exit_0_or_2(capsys, ["devices"])
+
+
+# ---------------------------------------------------------------------------
+# property: a line separator other than \n, \r\n or \r inside a comment
+# changes nothing
+# ---------------------------------------------------------------------------
+
+# Characters that str.splitlines() treats as line ends; job files and catalogs
+# end lines only at \n, \r\n and \r.
+_UNICODE_SEPARATORS = ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
+
+
+@_PROPERTY
+@given(
+    argv=st.sampled_from([["simulate", "--job"], ["encrypt", "--input"]]),
+    comments=st.lists(
+        st.tuples(
+            st.integers(0, 3),
+            st.lists(st.sampled_from(_UNICODE_SEPARATORS + ["note", " ", "#", "more"]),
+                     min_size=1, max_size=6).map("".join),
+        ),
+        max_size=4,
+    ),
+)
+@example(argv=["simulate", "--job"], comments=[(1, " note \u2028 more")])
+@example(argv=["encrypt", "--input"], comments=[(1, " note \u2028 more")])
+def test_separators_in_comment_lines_do_not_change_the_result(tmp_path, capsys, argv, comments):
+    plain = tmp_path / "plain.txt"
+    write_job(plain, random.Random(0x5B), num_pims=3, blocks_per_unit=1)
+    lines = plain.read_text().splitlines(keepends=True)
+    for position, text in reversed(comments):
+        lines.insert(position, f"#{text}\n")
+    commented = tmp_path / "commented.txt"
+    commented.write_text("".join(lines), encoding="utf-8")
+    results = []
+    for path in (plain, commented):
+        out_path = tmp_path / f"{path.stem}.out"
+        assert main(argv + [str(path), "--output", str(out_path)]) == EXIT_OK, capsys.readouterr()
+        results.append(out_path.read_bytes())
+    capsys.readouterr()
+    assert results[0] == results[1]

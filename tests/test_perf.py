@@ -14,12 +14,14 @@ from spime.aes_core import encrypt_block
 from spime.cli import GRID_FLAGS
 from spime.perf import (
     AGGREGATE,
+    BUILTIN_CATALOG,
     DEFAULT_CYCLES_PER_TASK,
     PER_UNIT,
     CSV_HEADER,
     DeviceSpec,
     PerfQuery,
     SweepError,
+    catalog_path,
     evaluate,
     figure_grid,
     latency_us,
@@ -202,6 +204,40 @@ def test_env_var_overrides_catalog(tmp_path, monkeypatch):
     assert list(catalog) == ["BIG"]
     # large part falls into the datacenter calibration family
     assert utilization_pct(catalog["BIG"], 4096, "LUT") == 3.65
+
+
+def test_catalog_path_is_the_variable_when_set_else_the_packaged_table(tmp_path, monkeypatch):
+    monkeypatch.delenv("SPIME_DEVICE_CATALOG", raising=False)
+    assert catalog_path() == BUILTIN_CATALOG
+    assert list(load_device_catalog()) == ["U55C", "U280", "VCU118", "ZCU104", "ZCU106"]
+    assert load_device_catalog() == load_device_catalog(BUILTIN_CATALOG)
+    for value in (str(tmp_path / "custom.csv"), ""):
+        monkeypatch.setenv("SPIME_DEVICE_CATALOG", value)
+        assert catalog_path() == value
+
+
+@pytest.mark.parametrize(
+    "part_field, part",
+    [
+        ("custom\x0cpart", "custom\x0cpart"),
+        ("custom\x85part", "custom\x85part"),
+        ("custom\x1cpart", "custom\x1cpart"),
+        ('"custom\u2028part"', "custom\u2028part"),
+        ('"custom\u2029part"', "custom\u2029part"),
+    ],
+    ids=["form-feed", "next-line", "file-separator", "quoted-line-separator",
+         "quoted-paragraph-separator"],
+)
+def test_catalog_lines_end_only_at_newlines(tmp_path, part_field, part):
+    path = tmp_path / "catalog.csv"
+    path.write_text(
+        "name,part,luts,ffs,bram,uram,dsps\n"
+        f"BIG,{part_field},2000000,4000000,100,10,50\n",
+        encoding="utf-8",
+    )
+    catalog = load_device_catalog(str(path))
+    assert list(catalog) == ["BIG"]
+    assert catalog["BIG"].part == part
 
 
 def test_family_follows_the_lut_count_not_the_name(tmp_path):

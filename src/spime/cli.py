@@ -9,7 +9,6 @@ and an ``OSError`` exits 3. Any other exception is a bug and propagates.
 
 import argparse
 import contextlib
-import csv
 import os
 import sys
 
@@ -17,6 +16,7 @@ from . import perf
 from .aes_core import encrypt_block
 from .array_sim import (
     ConfigError,
+    JobFormatError,
     SpimeConfig,
     build_array,
     format_result_lines,
@@ -25,13 +25,13 @@ from .array_sim import (
 from .controller import UNIT_CYCLES_PER_BLOCK
 from .perf import (
     AGGREGATE,
-    CSV_HEADER,
     DEFAULT_CYCLES_PER_TASK,
     PER_UNIT,
     figure_grid,
     load_device_catalog,
-    sweep_csv_rows,
+    sweep_csv_lines,
     sweep_grid,
+    undecodable_line,
 )
 from .primitives import BLOCK_BITS, block_from_hex, reference_encrypt
 
@@ -58,7 +58,10 @@ def _reading(what):
 
 def _read_job(path, blocks_per_unit=None):
     with _reading(path), open(path, encoding="utf-8-sig") as fh:
-        return parse_job_lines(fh, blocks_per_unit)
+        try:
+            return parse_job_lines(fh, blocks_per_unit)
+        except UnicodeDecodeError as exc:
+            raise JobFormatError(*undecodable_line(path, exc)) from None
 
 
 def _load_catalog():
@@ -93,13 +96,6 @@ def _refuse_shared_files(paths) -> None:
 def _write_lines(path, lines) -> None:
     with _open_output(path) as fh:
         fh.writelines(line + "\n" for line in lines)
-
-
-def _write_csv(path, header, rows) -> None:
-    with _open_output(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +175,7 @@ def cmd_sweep(args) -> int:
     if args.per_unit:
         interpretation = PER_UNIT
 
-    _write_csv(args.output, CSV_HEADER, sweep_csv_rows(pairs, interpretation))
+    _write_lines(args.output, sweep_csv_lines(pairs, interpretation))
     return EXIT_OK
 
 

@@ -20,9 +20,18 @@ units and extrapolated linearly: 3.65% LUT / <2% FF on datacenter parts
 and 18.44% LUT / ~10% FF on embedded parts, which are the parts with
 fewer than 1,000,000 LUTs, whatever their name. FF anchors are upper
 bounds, so FF percentages are approximate.
+
+The model is separable, and a sweep is evaluated per axis: latency depends
+only on the clock (and the cycle count), utilization only on the device and
+the unit count, and only throughput needs the whole point. So
+:func:`sweep_csv_lines` computes and renders latency once per clock,
+utilization once per (device, unit count) and throughput once per row.
+:func:`evaluate` stays the one-point API, and every refusal is raised by
+the same one-point path, with the same message and query index.
 """
 
 import csv
+import io
 import math
 import os
 from dataclasses import dataclass, field
@@ -153,6 +162,16 @@ def utilization_pct(device: DeviceSpec, num_pims: int, resource: str) -> float:
     raise ValueError(f"unknown resource {resource!r}, expected LUT or FF")
 
 
+def _throughput(interpretation: str, num_pims: int, block_bits: int, lat: float) -> float:
+    """Headline throughput of one point under ``interpretation``, from its latency."""
+    if interpretation == AGGREGATE:
+        batch_latency = (block_bits / BLOCK_BITS) * lat
+        return throughput_gbps(num_pims * block_bits, batch_latency)
+    if interpretation == PER_UNIT:
+        return throughput_gbps(block_bits, lat)
+    raise ValueError(f"unknown interpretation {interpretation!r}")
+
+
 def evaluate(query: PerfQuery, device: DeviceSpec, interpretation: str = AGGREGATE) -> PerfResult:
     """Evaluate one operating point into latency/throughput/utilization.
 
@@ -160,13 +179,7 @@ def evaluate(query: PerfQuery, device: DeviceSpec, interpretation: str = AGGREGA
     """
     try:
         lat = latency_us(query.cycles_per_task, query.fmax_mhz)
-        if interpretation == AGGREGATE:
-            batch_latency = (query.block_bits / BLOCK_BITS) * lat
-            thr = throughput_gbps(query.num_pims * query.block_bits, batch_latency)
-        elif interpretation == PER_UNIT:
-            thr = throughput_gbps(query.block_bits, lat)
-        else:
-            raise ValueError(f"unknown interpretation {interpretation!r}")
+        thr = _throughput(interpretation, query.num_pims, query.block_bits, lat)
         lut = utilization_pct(device, query.num_pims, "LUT")
         ff = utilization_pct(device, query.num_pims, "FF")
     except OverflowError as exc:
@@ -202,6 +215,72 @@ def sweep_csv_rows(pairs, interpretation: str = AGGREGATE) -> list:
     ]
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as a csv.writer row holds it: quoted only when it must be."""
+    buf = io.StringIO()
+    # A second field keeps csv.writer from quoting an empty name as a lone field.
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[:-2]
+
+
+def _finite(value: float) -> float:
+    if not math.isfinite(value):
+        raise ValueError(f"{value} is outside the model's range")
+    return value
+
+
+def _grid_lines(grid: "SweepGrid", interpretation: str) -> list:
+    """The CSV lines of :func:`sweep_csv_lines`; raises on any point the model refuses."""
+    lines = [",".join(CSV_HEADER)]
+    cycles = grid.cycles_per_task
+    isfinite = math.isfinite
+    for devices, num_pims, fmax_mhz, block_bits in grid.parts:
+        if not (devices and num_pims and fmax_mhz and block_bits):
+            continue
+        # PerfQuery checks each field on its own, so the points through the
+        # part's first point check every axis value once.
+        n0, f0, b0 = num_pims[0], fmax_mhz[0], block_bits[0]
+        for n in num_pims:
+            PerfQuery(n, f0, b0, cycles)
+        for f in fmax_mhz:
+            PerfQuery(n0, f, b0, cycles)
+        for b in block_bits:
+            PerfQuery(n0, f0, b, cycles)
+        clock_cells = []  # ("fmax,bits,latency,", bits, latency) per (clock, block size)
+        for f in fmax_mhz:
+            lat = _finite(latency_us(cycles, f))
+            lat_text = round(lat, 4)
+            clock_cells.extend((f"{f},{b},{lat_text},", b, lat) for b in block_bits)
+        for device in devices:
+            name = _csv_field(device.name)
+            for n in num_pims:
+                lut = _finite(utilization_pct(device, n, "LUT"))
+                ff = _finite(utilization_pct(device, n, "FF"))
+                head, tail = f"{name},{n},", f",{round(lut, 4)},{round(ff, 4)}"
+                for cell, b, lat in clock_cells:
+                    thr = _throughput(interpretation, n, b, lat)
+                    if not isfinite(thr):
+                        raise ValueError(f"throughput {thr} is outside the model's range")
+                    lines.append(f"{head}{cell}{round(thr, 4)}{tail}")
+    return lines
+
+
+def sweep_csv_lines(grid: "SweepGrid", interpretation: str = AGGREGATE) -> list:
+    """The sweep CSV of a :class:`SweepGrid` as lines without newlines, header first.
+
+    The lines hold the bytes csv.writer writes for CSV_HEADER and
+    :func:`sweep_csv_rows`, evaluated per axis (see the module docstring).
+    When any point is refused, the grid is walked again through
+    :func:`iter_sweep`, which raises the one-point path's error.
+    """
+    try:
+        return _grid_lines(grid, interpretation)
+    except (ValueError, OverflowError):
+        for _ in iter_sweep(grid, interpretation):
+            pass
+        raise
+
+
 # ---------------------------------------------------------------------------
 # Device catalog
 # ---------------------------------------------------------------------------
@@ -211,15 +290,36 @@ def catalog_path() -> str:
     return os.environ.get(CATALOG_ENV_VAR, BUILTIN_CATALOG)
 
 
+def undecodable_line(path: str, exc: UnicodeDecodeError) -> tuple:
+    """(1-based line, description) of the first byte of ``path`` that is not UTF-8.
+
+    For a text file whose decoding raised ``exc``, which names only an offset
+    into the decoder's chunk: the file is read again as bytes, a leading
+    byte-order mark skipped, and lines end at ``\\n``, ``\\r\\n`` or ``\\r``.
+    Re-raises ``exc`` if the file now decodes.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    start = 3 if data.startswith(b"\xef\xbb\xbf") else 0
+    try:
+        data[start:].decode("utf-8")
+    except UnicodeDecodeError as found:
+        offset = start + found.start
+        head = data[:offset]
+        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        return line, f"byte 0x{data[offset]:02x} at offset {offset} is not UTF-8 ({found.reason})"
+    raise exc
+
+
 def load_device_catalog(path: str = None) -> dict:
     """Load the device catalog CSV at ``path``, by default :func:`catalog_path`.
 
     Returns an ordered name -> DeviceSpec map. Lines end only at ``\\n``, ``\\r\\n``
     or ``\\r``. Raises ValueError naming the file and CSV line for a malformed
     line, a missing column, a non-integer or non-positive count, a count too
-    large for a float (or whose per-unit cost is not finite) or a repeated
-    device name; a file that is not UTF-8 raises UnicodeDecodeError, also a
-    ValueError. A leading UTF-8 byte-order mark is skipped.
+    large for a float (or whose per-unit cost is not finite), a repeated
+    device name or a byte that is not UTF-8 (the line of the first such
+    byte). A leading UTF-8 byte-order mark is skipped.
     """
     if path is None:
         path = catalog_path()
@@ -229,6 +329,9 @@ def load_device_catalog(path: str = None) -> dict:
             rows = [(reader.line_num, row) for row in reader]
         except csv.Error as exc:
             raise ValueError(f"{path} line {reader.reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            line, what = undecodable_line(path, exc)
+            raise ValueError(f"{path} line {line}: {what}") from None
     catalog = {}
     for line_num, row in rows:
         where = f"{path} line {line_num}"
@@ -258,9 +361,31 @@ def load_device_catalog(path: str = None) -> dict:
 # Sweep grids and the published figure presets
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class SweepGrid:
+    """Sweep points as products of axes, all at one ``cycles_per_task``.
+
+    Each part is a (devices, num_pims, fmax_mhz, block_bits) tuple of tuples.
+    Iterating yields lazy (PerfQuery, DeviceSpec) pairs part by part, each
+    part in device -> num_pims -> fmax -> block_bits order.
+    """
+
+    parts: tuple
+    cycles_per_task: int = DEFAULT_CYCLES_PER_TASK
+
+    def __iter__(self):
+        cycles = self.cycles_per_task
+        for devices, num_pims, fmax_mhz, block_bits in self.parts:
+            for device in devices:
+                for n in num_pims:
+                    for f in fmax_mhz:
+                        for b in block_bits:
+                            yield PerfQuery(n, f, b, cycles), device
+
+
 def sweep_grid(catalog: dict, device=None, num_pims=None, fmax_mhz=None, block_bits=None,
-               cycles_per_task=None):
-    """Lazy (PerfQuery, DeviceSpec) pairs in device -> num_pims -> fmax -> block_bits order.
+               cycles_per_task=None) -> SweepGrid:
+    """A one-part :class:`SweepGrid` over the given axes.
 
     An omitted axis takes the published values (whole catalog, 1024-bit blocks).
     An empty catalog or an unknown device name is refused before any pair is built.
@@ -272,17 +397,13 @@ def sweep_grid(catalog: dict, device=None, num_pims=None, fmax_mhz=None, block_b
     if unknown:
         raise ValueError(f"unknown device(s): {', '.join(unknown)}")
     cycles = DEFAULT_CYCLES_PER_TASK if cycles_per_task is None else cycles_per_task
-    return (
-        (PerfQuery(num_pims=n, fmax_mhz=f, block_bits=b, cycles_per_task=cycles), catalog[name])
-        for name in names
-        for n in num_pims or PUBLISHED_NUM_PIMS
-        for f in fmax_mhz or PUBLISHED_FMAX_MHZ
-        for b in block_bits or [1024]
-    )
+    part = (tuple(catalog[name] for name in names), tuple(num_pims or PUBLISHED_NUM_PIMS),
+            tuple(fmax_mhz or PUBLISHED_FMAX_MHZ), tuple(block_bits or [1024]))
+    return SweepGrid((part,), cycles)
 
 
 def figure_grid(figure: int, catalog: dict):
-    """Return (lazy pairs, interpretation) for one published figure's data grid.
+    """Return (SweepGrid, interpretation) for one published figure's data grid.
 
     3: LUT utilization vs unit count, all devices.
     4: FF utilization vs unit count, all devices.
@@ -303,6 +424,6 @@ def figure_grid(figure: int, catalog: dict):
         clocks, units = PUBLISHED_FMAX_MHZ, [1024, 2048, 3072, 4096]
     else:
         raise ValueError(f"unknown figure {figure}, expected 3-7")
-    # Clock-major: one single-clock grid after another, each checked here.
+    # Clock-major: one single-clock part after another, each checked here.
     grids = [sweep_grid(catalog, default, units, [f]) for f in clocks]
-    return (pair for grid in grids for pair in grid), AGGREGATE
+    return SweepGrid(tuple(part for grid in grids for part in grid.parts)), AGGREGATE

@@ -905,3 +905,45 @@ def test_separators_in_comment_lines_do_not_change_the_result(tmp_path, capsys, 
         results.append(out_path.read_bytes())
     capsys.readouterr()
     assert results[0] == results[1]
+
+
+# ---------------------------------------------------------------------------
+# a file that is not UTF-8 names the line of its first bad byte
+# ---------------------------------------------------------------------------
+
+_ENDINGS = pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+
+
+@_ENDINGS
+@pytest.mark.parametrize(
+    "argv",
+    [["simulate", "--job"], ["encrypt", "--input"]],
+    ids=["simulate-job", "encrypt-input"],
+)
+def test_undecodable_byte_deep_in_a_job_names_its_line(tmp_path, capsys, argv, ending):
+    # 200 good lines (~13 KB) put the bad byte past the decoder's first chunk.
+    good = f"{C1_KEY_HEX} {C1_PT_HEX}{ending}" * 200
+    path = tmp_path / "job.txt"
+    path.write_bytes(_BOM + good.encode() + b"# caf\xe9" + ending.encode() + good.encode())
+    assert main(argv + [str(path)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    offset = len(_BOM) + len(good) + len("# caf")
+    assert captured.err == (f"error: {path}: line 201: byte 0xe9 at offset {offset} "
+                            "is not UTF-8 (invalid continuation byte)\n")
+
+
+@_ENDINGS
+@pytest.mark.parametrize("argv", [["devices"], ["sweep", "--device", "BIG"]])
+def test_undecodable_catalog_names_its_path_and_line(tmp_path, monkeypatch, capsys, argv,
+                                                      ending):
+    text = (_CATALOG_HEADER + _CATALOG_ROW).replace("\n", ending)
+    path = tmp_path / "catalog.csv"
+    path.write_bytes(text.encode() + b"caf\xff,p,1,1,1,1,1" + ending.encode())
+    monkeypatch.setenv("SPIME_DEVICE_CATALOG", str(path))
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    offset = len(text) + len("caf")
+    assert captured.err == (f"error: device catalog: {path} line 3: byte 0xff at offset {offset} "
+                            "is not UTF-8 (invalid start byte)\n")

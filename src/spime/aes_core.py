@@ -122,9 +122,9 @@ class AesCoreSim:
 def encrypt_block(key: bytes, plaintext: bytes):
     """Encrypt one block through a fresh core; returns (ciphertext, cycles).
 
-    ``cycles`` counts the core-internal sequence from INIT entry to the
-    done pulse (the IDLE cycle that consumes the start pulse is excluded)
-    and is 11 for every input.
+    The lone-core reference for the library and the tests; ``spime encrypt``
+    runs the lockstep array. ``cycles`` counts INIT entry to the done pulse
+    (the IDLE cycle that consumes the start pulse is excluded): 11 always.
     """
     schedule = expand_key(key)
     core = AesCoreSim()

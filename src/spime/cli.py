@@ -13,11 +13,11 @@ import os
 import sys
 
 from . import perf
-from .aes_core import encrypt_block
 from .array_sim import (
     ConfigError,
     JobFormatError,
     SpimeConfig,
+    SpimeJob,
     build_array,
     format_result_lines,
     parse_job_lines,
@@ -108,21 +108,19 @@ def cmd_encrypt(args) -> int:
         if args.key or args.plaintext:
             raise ValueError("give either KEY PLAINTEXT or --input, not both")
         job = _read_job(args.input, blocks_per_unit=1)
-        operands = [(key, blocks[0]) for key, blocks in zip(job.keys, job.inputs)]
     elif args.key and args.plaintext:
-        operands = [(block_from_hex(args.key), block_from_hex(args.plaintext))]
+        job = SpimeJob(keys=[block_from_hex(args.key)], inputs=[[block_from_hex(args.plaintext)]])
     else:
         raise ValueError("KEY and PLAINTEXT hex operands (or --input FILE) are required")
 
-    out_lines = []
-    for key, plaintext in operands:
-        ciphertext, _cycles = encrypt_block(key, plaintext)
-        if args.verify and ciphertext != reference_encrypt(key, plaintext):
-            print(f"error: {plaintext.hex()}: FSM ciphertext disagrees with the composition "
-                  "oracle", file=sys.stderr)
-            return EXIT_VERIFY
-        out_lines.append(ciphertext.hex())
-    _write_lines(args.output, out_lines)
+    outputs = build_array(SpimeConfig(num_pims=len(job.keys))).run_job(job).outputs
+    if args.verify:
+        for key, (plaintext,), (ciphertext,) in zip(job.keys, job.inputs, outputs):
+            if ciphertext != reference_encrypt(key, plaintext):
+                print(f"error: {plaintext.hex()}: FSM ciphertext disagrees with the composition "
+                      "oracle", file=sys.stderr)
+                return EXIT_VERIFY
+    _write_lines(args.output, (ciphertext.hex() for (ciphertext,) in outputs))
     return EXIT_OK
 
 
@@ -209,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_enc = sub.add_parser("encrypt", help="encrypt 128-bit blocks through the core FSM")
+    p_enc = sub.add_parser("encrypt", help="encrypt 128-bit blocks through the lockstep array")
     p_enc.add_argument("key", nargs="?", help="128-bit key as 32 hex chars")
     p_enc.add_argument("plaintext", nargs="?", help="128-bit plaintext as 32 hex chars")
     p_enc.add_argument("--input", help="file of '<key-hex> <plaintext-hex>' lines")
@@ -217,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enc.add_argument(
         "--verify",
         action="store_true",
-        help="cross-check the FSM result against the composition oracle",
+        help="cross-check the array's result against the composition oracle",
     )
     p_enc.set_defaults(func=cmd_encrypt)
 

@@ -11,8 +11,11 @@ trajectory: the array is one :class:`PimUnit` on N-lane buses. Its
 register are 16N bytes wide, unit u at bytes 16u..16u+15, so one core
 step advances every unit's state. The N keys are expanded in one
 :func:`~spime.primitives.expand_keys` call into 11 round-key registers
-of the same layout. A per-unit :class:`PimUnit` stays the reference
-model: an N-unit run matches N independent unit runs cycle for cycle.
+of the same layout. A :class:`SpimeJob` holds the job in this layout
+from the parsed file on, and the result file is formatted from the
+captured ``data_out`` registers. A per-unit :class:`PimUnit` stays the
+reference model: an N-unit run matches N independent unit runs cycle
+for cycle.
 With tracing on, the array records the shared control signals once per
 cycle and renders each as one string of N CSV rows, the record behind
 each unit number, only when read, so trace memory does not grow with N.
@@ -24,7 +27,8 @@ Job file format (one line per unit, '#' comments allowed):
 Result files have the same shape with ciphertext blocks.
 """
 
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .aes_core import IDLE
@@ -77,37 +81,76 @@ class SpimeConfig:
         return self.per_pim_block_bits // BLOCK_BITS
 
 
-@dataclass
+def _lanes(register: bytes) -> list:
+    """A register's 16-byte lanes, unit 0 first."""
+    return [register[i:i + BLOCK_BYTES] for i in range(0, len(register), BLOCK_BYTES)]
+
+
+def _per_unit(registers: list, num_units: int) -> list:
+    """Per-unit block lists from one register per block index."""
+    lanes = [_lanes(register) for register in registers]
+    return [[column[u] for column in lanes] for u in range(num_units)]
+
+
 class SpimeJob:
-    """Per-unit keys and input block sequences."""
+    """Per-unit keys and input blocks, held as the registers the array's buses carry.
 
-    keys: list
-    inputs: list
+    ``key_register`` holds unit u's key at bytes 16u..16u+15, and
+    ``input_registers[b]`` every unit's block b in the same layout.
+    ``SpimeJob(keys=..., inputs=...)`` takes per-unit lists, checks them and
+    joins them once; ``keys`` and ``inputs`` read the registers back as
+    per-unit lists.
+    """
 
-    def validate(self, cfg: SpimeConfig) -> None:
-        if len(self.keys) != cfg.num_pims or len(self.inputs) != cfg.num_pims:
-            raise ConfigError(
-                f"job holds {len(self.keys)} keys / {len(self.inputs)} input rows "
-                f"for {cfg.num_pims} units"
-            )
-        for u, seq in enumerate(self.inputs):
-            if len(seq) != cfg.blocks_per_unit:
-                raise ConfigError(
-                    f"unit {u} has {len(seq)} blocks, config requires {cfg.blocks_per_unit}"
-                )
-        blocks = [*self.keys, *(block for seq in self.inputs for block in seq)]
+    def __init__(self, keys: list, inputs: list):
+        blocks = [*keys, *(block for seq in inputs for block in seq)]
         if (not all(issubclass(t, (bytes, bytearray)) for t in {*map(type, blocks)})
-                or {*map(len, blocks)} != {BLOCK_BYTES}):
+                or not {*map(len, blocks)} <= {BLOCK_BYTES}):
             raise ValueError(f"every key and block must be {BLOCK_BYTES} bytes")
+        if len(inputs) != len(keys) or len({*map(len, inputs)}) > 1:
+            raise ConfigError("a job needs one input row per key, all of one length")
+        self.key_register = b"".join(keys)
+        self.input_registers = [b"".join(column) for column in zip(*inputs)]
+
+    @classmethod
+    def from_registers(cls, key_register: bytes, input_registers: list) -> "SpimeJob":
+        """A job from registers already in bus layout, taken as they are."""
+        job = cls.__new__(cls)
+        job.key_register, job.input_registers = key_register, input_registers
+        return job
+
+    @property
+    def num_units(self) -> int:
+        return len(self.key_register) // BLOCK_BYTES
+
+    @property
+    def blocks_per_unit(self) -> int:
+        return len(self.input_registers)
+
+    @property
+    def keys(self) -> list:
+        return _lanes(self.key_register)
+
+    @property
+    def inputs(self) -> list:
+        return _per_unit(self.input_registers, self.num_units)
 
 
 @dataclass
 class SpimeResult:
-    """Collected ciphertexts plus the global cycle count at completion."""
+    """Captured ciphertext registers plus the global cycle count at completion.
 
-    outputs: list
+    ``output_registers[b]`` holds every unit's ciphertext of block b, lane u
+    at bytes 16u..16u+15; ``outputs`` reads them back as per-unit lists.
+    """
+
+    output_registers: list
     total_cycles: int
-    done_flags: list = field(default_factory=list)
+    done_flags: list
+
+    @property
+    def outputs(self) -> list:
+        return _per_unit(self.output_registers, len(self.output_registers[0]) // BLOCK_BYTES)
 
 
 class UnitObservation(NamedTuple):
@@ -138,20 +181,15 @@ class SpimeArraySim:
         self._round_keys = None
         self._captured = []  # the controller's data_out at each done pulse
 
-    @staticmethod
-    def _lanes(register: bytes) -> list:
-        return [register[i:i + BLOCK_BYTES] for i in range(0, len(register), BLOCK_BYTES)]
-
     @property
     def units(self) -> list:
         """Each unit's datapath state register, sliced from the core's state register."""
-        return self._lanes(self._control.core.state_reg)
+        return _lanes(self._control.core.state_reg)
 
     @property
     def _outputs(self) -> list:
         """Each unit's captured ciphertexts, in capture order."""
-        captured = [self._lanes(register) for register in self._captured]
-        return [[lanes[u] for lanes in captured] for u in range(self.cfg.num_pims)]
+        return _per_unit(self._captured, self.cfg.num_pims)
 
     def _observe(self) -> UnitObservation:
         """Read the shared control signals; the only place the FSMs are read."""
@@ -160,10 +198,15 @@ class SpimeArraySim:
                                core.done, ctrl.done, core.round)
 
     def load_job(self, job: SpimeJob) -> None:
-        """Validate a job against the config and stage it for ticking."""
-        job.validate(self.cfg)
-        self._round_keys = expand_keys(b"".join(job.keys))
-        self._inputs = [b"".join(blocks) for blocks in zip(*job.inputs)]
+        """Check a job's shape against the config and stage its registers for ticking."""
+        cfg = self.cfg
+        if (job.num_units, job.blocks_per_unit) != (cfg.num_pims, cfg.blocks_per_unit):
+            raise ConfigError(
+                f"job holds {job.num_units} units x {job.blocks_per_unit} blocks "
+                f"for {cfg.num_pims} units x {cfg.blocks_per_unit} blocks"
+            )
+        self._round_keys = expand_keys(job.key_register)
+        self._inputs = job.input_registers
         self._captured = []
 
     def job_complete(self) -> bool:
@@ -227,7 +270,7 @@ class SpimeArraySim:
             if self.cycle - start_cycle > budget:
                 raise RuntimeError("array failed to finish within the cycle budget")
         return SpimeResult(
-            outputs=self._outputs,
+            output_registers=list(self._captured),
             total_cycles=self.cycle - start_cycle,
             done_flags=[len(self._captured) == self.cfg.blocks_per_unit] * self.cfg.num_pims,
         )
@@ -242,14 +285,31 @@ def build_array(cfg: SpimeConfig) -> SpimeArraySim:
 # Job / result file round-trip
 # ---------------------------------------------------------------------------
 
+# One unit line in its usual form: ASCII blanks, 32-hex key, 32-hex blocks.
+_HEX32 = "[0-9a-fA-F]{32}"
+_JOB_LINE = re.compile(rf"[ \t]*({_HEX32})[ \t]+((?:{_HEX32},)*{_HEX32})[ \t]*\n?")
+
+
 def parse_job_lines(lines, blocks_per_unit=None) -> SpimeJob:
-    """Parse job-file lines; raises JobFormatError with a line number.
+    """Parse job-file lines into registers; raises JobFormatError with a line number.
 
     Every unit must hold ``blocks_per_unit`` blocks (default: as many as the first).
+    A line of the usual form with the expected block count only has its hex
+    text collected; any other line (comments, blank lines, other separators,
+    errors, and the first unit when the count is not given) is checked on its
+    own. One ``bytes.fromhex`` then builds the key register and one each
+    block index's input register.
     """
-    keys, inputs = [], []
+    key_hex, block_hex = [], []  # per unit: key text, comma-separated block text
     expected_blocks = blocks_per_unit
+    usual_line = _JOB_LINE.fullmatch
     for lineno, raw in enumerate(lines, start=1):
+        match = usual_line(raw)
+        # B blocks take 32 hex chars each plus B - 1 commas.
+        if match and (len(match[2]) + 1) // (2 * BLOCK_BYTES + 1) == expected_blocks:
+            key_hex.append(match[1])
+            block_hex.append(match[2])
+            continue
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -267,16 +327,27 @@ def parse_job_lines(lines, blocks_per_unit=None) -> SpimeJob:
             raise JobFormatError(
                 lineno, f"expected {expected_blocks} blocks per unit, got {len(blocks)}"
             )
-        keys.append(key)
-        inputs.append(blocks)
-    if not keys:
+        key_hex.append(key.hex())
+        block_hex.append(",".join(block.hex() for block in blocks))
+    if not key_hex:
         raise JobFormatError(0, "job file holds no units")
-    return SpimeJob(keys=keys, inputs=inputs)
+    unit_major = ",".join(block_hex).split(",")
+    return SpimeJob.from_registers(
+        bytes.fromhex("".join(key_hex)),
+        [bytes.fromhex("".join(unit_major[b::expected_blocks])) for b in range(expected_blocks)],
+    )
+
+
+def _hex_lanes(register: bytes) -> list:
+    """A register's lanes as 32-char lowercase hex, unit 0 first."""
+    return register.hex(" ", BLOCK_BYTES).split(" ")
 
 
 def format_result_lines(job: SpimeJob, result: SpimeResult) -> list:
-    """Render a result in the job-file shape (key + ciphertext blocks)."""
-    lines = []
-    for key, out in zip(job.keys, result.outputs):
-        lines.append(f"{key.hex()} {','.join(block.hex() for block in out)}")
-    return lines
+    """Render a result in the job-file shape (key + ciphertext blocks).
+
+    Each register is hex-encoded once and cut into lanes. Keys come from the
+    key register, so they print in lowercase whatever case the job file used.
+    """
+    blocks = map(",".join, zip(*map(_hex_lanes, result.output_registers)))
+    return list(map(" ".join, zip(_hex_lanes(job.key_register), blocks)))

@@ -113,7 +113,7 @@ def cmd_encrypt(args) -> int:
     else:
         raise ValueError("KEY and PLAINTEXT hex operands (or --input FILE) are required")
 
-    outputs = build_array(SpimeConfig(num_pims=len(job.keys))).run_job(job).outputs
+    outputs = build_array(SpimeConfig(num_pims=job.num_units)).run_job(job).outputs
     if args.verify:
         for key, (plaintext,), (ciphertext,) in zip(job.keys, job.inputs, outputs):
             if ciphertext != reference_encrypt(key, plaintext):
@@ -131,11 +131,11 @@ def cmd_encrypt(args) -> int:
 def cmd_simulate(args) -> int:
     _refuse_shared_files({"--job": args.job, "--output": args.output, "--trace": args.trace})
     job = _read_job(args.job)
-    if args.num_pims not in (None, len(job.keys)):
-        raise ConfigError(f"--num-pims {args.num_pims} but the job holds {len(job.keys)} units")
+    if args.num_pims not in (None, job.num_units):
+        raise ConfigError(f"--num-pims {args.num_pims} but the job holds {job.num_units} units")
     cfg = SpimeConfig(
-        num_pims=len(job.keys),
-        per_pim_block_bits=len(job.inputs[0]) * BLOCK_BITS,
+        num_pims=job.num_units,
+        per_pim_block_bits=job.blocks_per_unit * BLOCK_BITS,
         trace_enabled=args.trace is not None,
     )
     array = build_array(cfg)

@@ -39,6 +39,7 @@ from .primitives import (
     NUM_ROUND_KEYS,
     ZERO_BLOCK,
     block_from_hex,
+    check_block,
     expand_keys,
 )
 
@@ -103,10 +104,8 @@ class SpimeJob:
     """
 
     def __init__(self, keys: list, inputs: list):
-        blocks = [*keys, *(block for seq in inputs for block in seq)]
-        if (not all(issubclass(t, (bytes, bytearray)) for t in {*map(type, blocks)})
-                or not {*map(len, blocks)} <= {BLOCK_BYTES}):
-            raise ValueError(f"every key and block must be {BLOCK_BYTES} bytes")
+        for block in [*keys, *(block for seq in inputs for block in seq)]:
+            check_block(block)
         if len(inputs) != len(keys) or len({*map(len, inputs)}) > 1:
             raise ConfigError("a job needs one input row per key, all of one length")
         self.key_register = b"".join(keys)
@@ -317,7 +316,7 @@ def parse_job_lines(lines, blocks_per_unit=None) -> SpimeJob:
         if len(parts) != 2:
             raise JobFormatError(lineno, "expected '<key-hex> <block-hex>[,<block-hex>...]'")
         try:
-            key = block_from_hex(parts[0])
+            block_from_hex(parts[0])
             blocks = [block_from_hex(tok) for tok in parts[1].split(",")]
         except ValueError as exc:
             raise JobFormatError(lineno, str(exc)) from None
@@ -327,8 +326,8 @@ def parse_job_lines(lines, blocks_per_unit=None) -> SpimeJob:
             raise JobFormatError(
                 lineno, f"expected {expected_blocks} blocks per unit, got {len(blocks)}"
             )
-        key_hex.append(key.hex())
-        block_hex.append(",".join(block.hex() for block in blocks))
+        key_hex.append(parts[0])
+        block_hex.append(parts[1])
     if not key_hex:
         raise JobFormatError(0, "job file holds no units")
     unit_major = ",".join(block_hex).split(",")

@@ -64,9 +64,9 @@ def _read_job(path, blocks_per_unit=None):
             raise JobFormatError(*undecodable_line(path, exc)) from None
 
 
-def _load_catalog():
+def _load_catalog(path=None):
     with _reading("device catalog"):
-        return load_device_catalog()
+        return load_device_catalog(path)
 
 
 def _open_output(path):
@@ -159,17 +159,17 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_sweep(args) -> int:
-    catalog = perf.catalog_path()
-    label = "the built-in device catalog" if catalog == perf.BUILTIN_CATALOG else perf.CATALOG_ENV_VAR
-    _refuse_shared_files({label: catalog, "--output": args.output})
+    path = perf.catalog_path()
+    label = "the built-in device catalog" if path == perf.BUILTIN_CATALOG else perf.CATALOG_ENV_VAR
+    _refuse_shared_files({label: path, "--output": args.output})
     grid = {name: getattr(args, name) for name in GRID_FLAGS}
     if args.figure is not None:
         given = [f"--{name.replace('_', '-')}" for name, value in grid.items() if value is not None]
         if given:
             raise ValueError(f"--figure fixes its own grid; drop {', '.join(given)}")
-        pairs, interpretation = figure_grid(args.figure, _load_catalog())
+        pairs, interpretation = figure_grid(args.figure, _load_catalog(path))
     else:
-        pairs, interpretation = sweep_grid(_load_catalog(), **grid), AGGREGATE
+        pairs, interpretation = sweep_grid(_load_catalog(path), **grid), AGGREGATE
     if args.per_unit:
         interpretation = PER_UNIT
 

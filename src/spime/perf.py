@@ -24,10 +24,12 @@ bounds, so FF percentages are approximate.
 The model is separable, and a sweep is evaluated per axis: latency depends
 only on the clock (and the cycle count), utilization only on the device and
 the unit count, and only throughput needs the whole point. So
-:func:`sweep_csv_lines` computes and renders latency once per clock,
-utilization once per (device, unit count) and throughput once per row.
-:func:`evaluate` stays the one-point API, and every refusal is raised by
-the same one-point path, with the same message and query index.
+:func:`sweep_csv_lines` takes latency once per clock and utilization once
+per (device, unit count), each from :func:`evaluate` at one point of the
+grid, and computes throughput once per row. :func:`evaluate` is the one
+owner of the model's refusal rules: every point the renderer asks it about
+is a row of the grid, and a refusal is raised again by the flat path, with
+the same message and query index.
 """
 
 import csv
@@ -223,12 +225,6 @@ def _csv_field(text: str) -> str:
     return buf.getvalue()[:-2]
 
 
-def _finite(value: float) -> float:
-    if not math.isfinite(value):
-        raise ValueError(f"{value} is outside the model's range")
-    return value
-
-
 def _grid_lines(grid: "SweepGrid", interpretation: str) -> list:
     """The CSV lines of :func:`sweep_csv_lines`; raises on any point the model refuses."""
     lines = [",".join(CSV_HEADER)]
@@ -237,26 +233,22 @@ def _grid_lines(grid: "SweepGrid", interpretation: str) -> list:
     for devices, num_pims, fmax_mhz, block_bits in grid.parts:
         if not (devices and num_pims and fmax_mhz and block_bits):
             continue
-        # PerfQuery checks each field on its own, so the points through the
-        # part's first point check every axis value once.
-        n0, f0, b0 = num_pims[0], fmax_mhz[0], block_bits[0]
-        for n in num_pims:
-            PerfQuery(n, f0, b0, cycles)
-        for f in fmax_mhz:
-            PerfQuery(n0, f, b0, cycles)
+        # Every axis value is read from evaluate at a grid point through the
+        # part's first point, so evaluate alone decides which points it refuses.
+        d0, n0, f0, b0 = devices[0], num_pims[0], fmax_mhz[0], block_bits[0]
         for b in block_bits:
-            PerfQuery(n0, f0, b, cycles)
+            evaluate(PerfQuery(n0, f0, b, cycles), d0, interpretation)
         clock_cells = []  # ("fmax,bits,latency,", bits, latency) per (clock, block size)
         for f in fmax_mhz:
-            lat = _finite(latency_us(cycles, f))
+            lat = evaluate(PerfQuery(n0, f, b0, cycles), d0, interpretation).latency_us
             lat_text = round(lat, 4)
             clock_cells.extend((f"{f},{b},{lat_text},", b, lat) for b in block_bits)
         for device in devices:
             name = _csv_field(device.name)
             for n in num_pims:
-                lut = _finite(utilization_pct(device, n, "LUT"))
-                ff = _finite(utilization_pct(device, n, "FF"))
-                head, tail = f"{name},{n},", f",{round(lut, 4)},{round(ff, 4)}"
+                res = evaluate(PerfQuery(n, f0, b0, cycles), device, interpretation)
+                head = f"{name},{n},"
+                tail = f",{round(res.lut_util_pct, 4)},{round(res.ff_util_pct, 4)}"
                 for cell, b, lat in clock_cells:
                     thr = _throughput(interpretation, n, b, lat)
                     if not isfinite(thr):
@@ -270,14 +262,13 @@ def sweep_csv_lines(grid: "SweepGrid", interpretation: str = AGGREGATE) -> list:
 
     The lines hold the bytes csv.writer writes for CSV_HEADER and
     :func:`sweep_csv_rows`, evaluated per axis (see the module docstring).
-    When any point is refused, the grid is walked again through
-    :func:`iter_sweep`, which raises the one-point path's error.
+    When any point is refused, the grid is evaluated again through
+    :func:`sweep`, which raises the one-point path's error.
     """
     try:
         return _grid_lines(grid, interpretation)
     except (ValueError, OverflowError):
-        for _ in iter_sweep(grid, interpretation):
-            pass
+        sweep(grid, interpretation)
         raise
 
 

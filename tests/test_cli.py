@@ -6,6 +6,7 @@ import io
 import pathlib
 import random
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -345,6 +346,15 @@ def test_sweep_does_not_write_over_the_built_in_catalog(tmp_path, monkeypatch, c
     assert "the built-in device catalog and --output name the same file" in captured.err
     assert captured.out == ""
     assert copy.read_bytes() == packaged.read_bytes()
+
+
+@pytest.mark.parametrize("args", [["--figure", "3"], ["--device", "U55C"]], ids=["figure", "grid"])
+def test_sweep_reads_the_catalog_path_it_checked_once(monkeypatch, capsys, args):
+    monkeypatch.delenv("SPIME_DEVICE_CATALOG", raising=False)
+    with mock.patch.object(spime.perf, "catalog_path", wraps=spime.perf.catalog_path) as looked_up:
+        assert main(["sweep", *args]) == EXIT_OK
+    assert looked_up.call_count == 1
+    assert capsys.readouterr().out.startswith("device,num_pims,")
 
 
 def test_a_corrupt_built_in_catalog_names_its_path(tmp_path, monkeypatch, capsys):

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from spime import perf
 from spime.cli import EXIT_OK, EXIT_USAGE, main
 from spime.perf import (
     AGGREGATE,
@@ -184,6 +185,38 @@ def test_a_utilization_overflow_is_refused_as_the_flat_path_refuses(
     want = _reference(load_device_catalog(str(path)), axes, PER_UNIT if per_unit else AGGREGATE)
     assert want[0] == EXIT_USAGE
     assert _run(capsys, _argv(axes, per_unit)) == want
+
+
+# ---------------------------------------------------------------------------
+# evaluate alone decides which points are refused
+# ---------------------------------------------------------------------------
+
+_REFUSED = {
+    "one-clock": lambda query, device: query.fmax_mhz == 250.0,
+    "one-device-and-unit-count":
+        lambda query, device: (device.name, query.num_pims) == ("U55C", 4096),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFUSED))
+def test_a_point_evaluate_refuses_is_refused_by_the_sweep(tmp_path, monkeypatch, capsys, case):
+    refused, evaluate = _REFUSED[case], perf.evaluate
+
+    def refusing_evaluate(query, device, interpretation=AGGREGATE):
+        if refused(query, device):
+            raise ValueError("refused by this model")
+        return evaluate(query, device, interpretation)
+
+    axes = {"device": ["ZCU104", "U55C"], "num_pims": [256, 4096], "fmax_mhz": [100.0, 250.0],
+            "block_bits": [128, 1024]}
+    grid = sweep_grid(load_device_catalog(), **axes)
+    first = next(index for index, pair in enumerate(grid) if refused(*pair))
+    assert first > 0
+    monkeypatch.setattr(perf, "evaluate", refusing_evaluate)
+    output = tmp_path / "sweep.csv"
+    got = _run(capsys, _argv(axes, False) + ["--output", str(output)])
+    assert got == (EXIT_USAGE, "", f"error: query {first}: refused by this model\n")
+    assert not output.exists()
 
 
 # ---------------------------------------------------------------------------

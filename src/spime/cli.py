@@ -1,10 +1,12 @@
 """Command-line front end: encrypt blocks, run cycle-accurate array jobs,
 emit performance-sweep CSVs, and list the device catalog.
 
-Exit codes: 0 success, 2 usage/configuration error, 3 file I/O error,
-4 verification mismatch. Commands raise and :func:`main` alone maps the
-errors: a ``ValueError`` (bad operand, job file, catalog or flag) exits 2
-and an ``OSError`` exits 3. Any other exception is a bug and propagates.
+Each command returns ``(outputs, report)``: ``(path, lines)`` pairs (path None
+for stdout) and a status line or None. :func:`main` alone opens every output
+before it writes to any, removes the files it created if the run fails, and
+prints the report last. It alone maps errors to exit codes: 0 success, 2
+``ValueError`` (bad operand, job file, catalog or flag), 3 ``OSError``, 4
+:class:`VerifyError`. Any other exception is a bug and propagates.
 """
 
 import argparse
@@ -45,6 +47,10 @@ EXIT_VERIFY = 4
 GRID_FLAGS = ("num_pims", "fmax_mhz", "block_bits", "device", "cycles_per_task")
 
 
+class VerifyError(Exception):
+    """The array's ciphertext disagrees with the composition oracle."""
+
+
 @contextlib.contextmanager
 def _reading(what):
     """Name ``what`` in any read or parse error raised inside the block."""
@@ -69,11 +75,6 @@ def _load_catalog(path=None):
         return load_device_catalog(path)
 
 
-def _open_output(path):
-    """Stdout when ``path`` is None, else ``path`` opened for writing."""
-    return contextlib.nullcontext(sys.stdout) if path is None else open(path, "w", newline="")
-
-
 def _file_identity(path):
     """Device and inode of an existing file (so hard links match), else its resolved path."""
     try:
@@ -93,16 +94,15 @@ def _refuse_shared_files(paths) -> None:
                 raise ValueError(f"{first} and {label} name the same file")
 
 
-def _write_lines(path, lines) -> None:
-    with _open_output(path) as fh:
-        fh.writelines(line + "\n" for line in lines)
+def _write_lines(fh, lines) -> None:
+    fh.writelines(line + "\n" for line in lines)
 
 
 # ---------------------------------------------------------------------------
 # encrypt
 # ---------------------------------------------------------------------------
 
-def cmd_encrypt(args) -> int:
+def cmd_encrypt(args) -> tuple:
     _refuse_shared_files({"--input": args.input, "--output": args.output})
     if args.input is not None:
         if args.key or args.plaintext:
@@ -113,22 +113,20 @@ def cmd_encrypt(args) -> int:
     else:
         raise ValueError("KEY and PLAINTEXT hex operands (or --input FILE) are required")
 
-    outputs = build_array(SpimeConfig(num_pims=job.num_units)).run_job(job).outputs
+    ciphertexts = build_array(SpimeConfig(num_pims=job.num_units)).run_job(job).outputs
     if args.verify:
-        for key, (plaintext,), (ciphertext,) in zip(job.keys, job.inputs, outputs):
+        for key, (plaintext,), (ciphertext,) in zip(job.keys, job.inputs, ciphertexts):
             if ciphertext != reference_encrypt(key, plaintext):
-                print(f"error: {plaintext.hex()}: FSM ciphertext disagrees with the composition "
-                      "oracle", file=sys.stderr)
-                return EXIT_VERIFY
-    _write_lines(args.output, (ciphertext.hex() for (ciphertext,) in outputs))
-    return EXIT_OK
+                raise VerifyError(f"{plaintext.hex()}: FSM ciphertext disagrees with the "
+                                  "composition oracle")
+    return [(args.output, (ciphertext.hex() for (ciphertext,) in ciphertexts))], None
 
 
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> tuple:
     _refuse_shared_files({"--job": args.job, "--output": args.output, "--trace": args.trace})
     job = _read_job(args.job)
     if args.num_pims not in (None, job.num_units):
@@ -141,24 +139,19 @@ def cmd_simulate(args) -> int:
     array = build_array(cfg)
     result = array.run_job(job)
 
-    _write_lines(args.output, format_result_lines(job, result))
+    outputs = [(args.output, format_result_lines(job, result))]
     if args.trace is not None:
-        _write_lines(args.trace, array.iter_trace_lines())
-    # Report success only once every output is written.
-    print(
-        f"num_pims={cfg.num_pims} blocks_per_unit={cfg.blocks_per_unit} "
-        f"total_cycles={result.total_cycles} "
-        f"per_block_cycles={result.total_cycles // cfg.blocks_per_unit}",
-        file=sys.stderr if args.output is None else sys.stdout,
-    )
-    return EXIT_OK
+        outputs.append((args.trace, array.iter_trace_lines()))
+    return outputs, (f"num_pims={cfg.num_pims} blocks_per_unit={cfg.blocks_per_unit} "
+                     f"total_cycles={result.total_cycles} "
+                     f"per_block_cycles={result.total_cycles // cfg.blocks_per_unit}")
 
 
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> tuple:
     path = perf.catalog_path()
     label = "the built-in device catalog" if path == perf.BUILTIN_CATALOG else perf.CATALOG_ENV_VAR
     _refuse_shared_files({label: path, "--output": args.output})
@@ -173,26 +166,21 @@ def cmd_sweep(args) -> int:
     if args.per_unit:
         interpretation = PER_UNIT
 
-    _write_lines(args.output, sweep_csv_lines(pairs, interpretation))
-    return EXIT_OK
+    return [(args.output, sweep_csv_lines(pairs, interpretation))], None
 
 
 # ---------------------------------------------------------------------------
 # devices
 # ---------------------------------------------------------------------------
 
-def cmd_devices(_args) -> int:
+def cmd_devices(_args) -> tuple:
     catalog = _load_catalog()
     header = (f"{'Device':<8} {'Part':<22} {'LUTs':>6} {'FFs':>6} {'BRAM':>5} {'URAM':>5} "
               f"{'DSPs':>5} {'Family':<10}")
-    print(header.rstrip())
-    print("-" * len(header))
-    for spec in catalog.values():
-        print(
-            f"{spec.name:<8} {spec.part:<22} {spec.luts // 1000:>5}K {spec.ffs // 1000:>5}K "
+    rows = (f"{spec.name:<8} {spec.part:<22} {spec.luts // 1000:>5}K {spec.ffs // 1000:>5}K "
             f"{spec.bram:>5} {spec.uram:>5} {spec.dsps:>5} {spec.family}"
-        )
-    return EXIT_OK
+            for spec in catalog.values())
+    return [(None, [header.rstrip(), "-" * len(header), *rows])], None
 
 
 # ---------------------------------------------------------------------------
@@ -249,11 +237,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    new_paths = []
     try:
-        return args.func(args)
-    except (ValueError, OSError) as exc:
+        outputs, report = args.func(args)
+        new_paths = [path for path, _ in outputs if path is not None and not os.path.lexists(path)]
+        with contextlib.ExitStack() as stack:
+            files = [sys.stdout if path is None else stack.enter_context(open(path, "w", newline=""))
+                     for path, _ in outputs]
+            for fh, (_, lines) in zip(files, outputs):
+                _write_lines(fh, lines)
+    except (VerifyError, ValueError, OSError) as exc:
+        for path in filter(os.path.lexists, new_paths):
+            os.remove(path)
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE if isinstance(exc, ValueError) else EXIT_IO
+        return (EXIT_VERIFY if isinstance(exc, VerifyError)
+                else EXIT_USAGE if isinstance(exc, ValueError) else EXIT_IO)
+    if report is not None:
+        print(report, file=sys.stderr if any(path is None for path, _ in outputs) else sys.stdout)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -12,8 +12,6 @@ after the FINAL cycle commits and ``done`` drops again after the next
 IDLE cycle.
 """
 
-from dataclasses import dataclass, field
-
 from .primitives import (NUM_ROUND_KEYS, ZERO_BLOCK, block_round, check_block, check_register,
                          expand_key, xor_blocks)
 
@@ -25,11 +23,6 @@ FINAL = "FINAL"
 CORE_CYCLES_PER_BLOCK = 11  # 1 INIT + 9 ROUND + 1 FINAL
 
 
-def _zero_schedule():
-    return [ZERO_BLOCK] * NUM_ROUND_KEYS
-
-
-@dataclass
 class AesCoreInputs:
     """Input port values sampled by the core at one cycle boundary.
 
@@ -39,16 +32,20 @@ class AesCoreInputs:
     and every round key carry one 16-byte lane per unit, the same count.
     """
 
-    start: bool = False
-    data_in: bytes = ZERO_BLOCK
-    round_keys: list = field(default_factory=_zero_schedule)
-    key: bytes = ZERO_BLOCK
+    __slots__ = ("start", "data_in", "round_keys", "key")
 
-    def __post_init__(self):
-        check_register(self.data_in)
-        check_block(self.key)
-        if len(self.round_keys) != NUM_ROUND_KEYS or {*map(len, self.round_keys)} != {len(self.data_in)}:
+    def __init__(self, start: bool = False, data_in: bytes = ZERO_BLOCK, round_keys: list = None,
+                 key: bytes = ZERO_BLOCK):
+        if round_keys is None:
+            round_keys = [ZERO_BLOCK] * NUM_ROUND_KEYS
+        check_register(data_in)
+        check_block(key)
+        if len(round_keys) != NUM_ROUND_KEYS or {*map(len, round_keys)} != {len(data_in)}:
             raise ValueError(f"round_keys must carry {NUM_ROUND_KEYS} keys as wide as data_in")
+        self.start = start
+        self.data_in = data_in
+        self.round_keys = round_keys
+        self.key = key
 
 
 def datapath(state: str, rnd: int, state_reg: bytes, data_in: bytes, round_keys: list) -> bytes:

@@ -28,7 +28,6 @@ Result files have the same shape with ciphertext blocks.
 """
 
 import re
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .aes_core import IDLE
@@ -60,22 +59,23 @@ class JobFormatError(ValueError):
         self.lineno = lineno
 
 
-@dataclass
 class SpimeConfig:
     """Array shape: unit count and per-unit job size in bits."""
 
-    num_pims: int
-    per_pim_block_bits: int = BLOCK_BITS
-    trace_enabled: bool = False
+    __slots__ = ("num_pims", "per_pim_block_bits", "trace_enabled")
 
-    def __post_init__(self):
-        if self.num_pims < 1:
-            raise ConfigError(f"num_pims must be >= 1, got {self.num_pims}")
-        if self.per_pim_block_bits < 1 or self.per_pim_block_bits % BLOCK_BITS != 0:
+    def __init__(self, num_pims: int, per_pim_block_bits: int = BLOCK_BITS,
+                 trace_enabled: bool = False):
+        if num_pims < 1:
+            raise ConfigError(f"num_pims must be >= 1, got {num_pims}")
+        if per_pim_block_bits < 1 or per_pim_block_bits % BLOCK_BITS != 0:
             raise ConfigError(
                 f"per_pim_block_bits must be a positive multiple of {BLOCK_BITS}, "
-                f"got {self.per_pim_block_bits}"
+                f"got {per_pim_block_bits}"
             )
+        self.num_pims = num_pims
+        self.per_pim_block_bits = per_pim_block_bits
+        self.trace_enabled = trace_enabled
 
     @property
     def blocks_per_unit(self) -> int:
@@ -135,7 +135,6 @@ class SpimeJob:
         return _per_unit(self.input_registers, self.num_units)
 
 
-@dataclass
 class SpimeResult:
     """Captured ciphertext registers plus the global cycle count at completion.
 
@@ -143,9 +142,12 @@ class SpimeResult:
     at bytes 16u..16u+15; ``outputs`` reads them back as per-unit lists.
     """
 
-    output_registers: list
-    total_cycles: int
-    done_flags: list
+    __slots__ = ("output_registers", "total_cycles", "done_flags")
+
+    def __init__(self, output_registers: list, total_cycles: int, done_flags: list):
+        self.output_registers = output_registers
+        self.total_cycles = total_cycles
+        self.done_flags = done_flags
 
     @property
     def outputs(self) -> list:
@@ -335,6 +337,27 @@ def parse_job_lines(lines, blocks_per_unit=None) -> SpimeJob:
         bytes.fromhex("".join(key_hex)),
         [bytes.fromhex("".join(unit_major[b::expected_blocks])) for b in range(expected_blocks)],
     )
+
+
+def undecodable_line(path: str, exc: UnicodeDecodeError) -> tuple:
+    """(1-based line, description) of the first byte of ``path`` that is not UTF-8.
+
+    For a text file (a job file or the device catalog) whose decoding raised
+    ``exc``, which names only an offset into the decoder's chunk: the file is
+    read again as bytes, a leading byte-order mark skipped, and lines end at
+    ``\\n``, ``\\r\\n`` or ``\\r``. Re-raises ``exc`` if the file now decodes.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    start = 3 if data.startswith(b"\xef\xbb\xbf") else 0
+    try:
+        data[start:].decode("utf-8")
+    except UnicodeDecodeError as found:
+        offset = start + found.start
+        head = data[:offset]
+        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        return line, f"byte 0x{data[offset]:02x} at offset {offset} is not UTF-8 ({found.reason})"
+    raise exc
 
 
 def _hex_lanes(register: bytes) -> list:

@@ -3,18 +3,21 @@ emit performance-sweep CSVs, and list the device catalog.
 
 Each command returns ``(outputs, report)``: ``(path, lines)`` pairs (path None
 for stdout) and a status line or None. :func:`main` alone opens every output
-before it writes to any, removes the files it created if the run fails, and
-prints the report last. It alone maps errors to exit codes: 0 success, 2
-``ValueError`` (bad operand, job file, catalog or flag), 3 ``OSError``, 4
-:class:`VerifyError`. Any other exception is a bug and propagates.
+before it empties or writes to any, removes the files it created if the run
+fails, and prints the report last. It alone maps errors to exit codes: 0
+success, 2 ``ValueError`` (bad operand, job file, catalog or flag), 3
+``OSError``, 4 :class:`VerifyError`. Any other exception is a bug and
+propagates. Only ``sweep`` and ``devices`` import :mod:`spime.perf`.
 """
 
 import argparse
 import contextlib
 import os
+import stat
 import sys
 
-from . import perf
+from . import CATALOG_ENV_VAR
+from .aes_core import CORE_CYCLES_PER_BLOCK
 from .array_sim import (
     ConfigError,
     JobFormatError,
@@ -23,18 +26,9 @@ from .array_sim import (
     build_array,
     format_result_lines,
     parse_job_lines,
-)
-from .controller import UNIT_CYCLES_PER_BLOCK
-from .perf import (
-    AGGREGATE,
-    DEFAULT_CYCLES_PER_TASK,
-    PER_UNIT,
-    figure_grid,
-    load_device_catalog,
-    sweep_csv_lines,
-    sweep_grid,
     undecodable_line,
 )
+from .controller import UNIT_CYCLES_PER_BLOCK
 from .primitives import BLOCK_BITS, block_from_hex, reference_encrypt
 
 EXIT_OK = 0
@@ -71,8 +65,10 @@ def _read_job(path, blocks_per_unit=None):
 
 
 def _load_catalog(path=None):
+    from . import perf
+
     with _reading("device catalog"):
-        return load_device_catalog(path)
+        return perf.load_device_catalog(path)
 
 
 def _file_identity(path):
@@ -92,6 +88,11 @@ def _refuse_shared_files(paths) -> None:
             first = seen.setdefault(_file_identity(path), label)
             if first != label:
                 raise ValueError(f"{first} and {label} name the same file")
+
+
+def _open_untruncated(path, flags):
+    """``open``'s opener for an output: create it if need be, but leave its bytes."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
 
 
 def _write_lines(fh, lines) -> None:
@@ -152,21 +153,23 @@ def cmd_simulate(args) -> tuple:
 # ---------------------------------------------------------------------------
 
 def cmd_sweep(args) -> tuple:
+    from . import perf
+
     path = perf.catalog_path()
-    label = "the built-in device catalog" if path == perf.BUILTIN_CATALOG else perf.CATALOG_ENV_VAR
+    label = "the built-in device catalog" if path == perf.BUILTIN_CATALOG else CATALOG_ENV_VAR
     _refuse_shared_files({label: path, "--output": args.output})
     grid = {name: getattr(args, name) for name in GRID_FLAGS}
     if args.figure is not None:
         given = [f"--{name.replace('_', '-')}" for name, value in grid.items() if value is not None]
         if given:
             raise ValueError(f"--figure fixes its own grid; drop {', '.join(given)}")
-        pairs, interpretation = figure_grid(args.figure, _load_catalog(path))
+        pairs, interpretation = perf.figure_grid(args.figure, _load_catalog(path))
     else:
-        pairs, interpretation = sweep_grid(_load_catalog(path), **grid), AGGREGATE
+        pairs, interpretation = perf.sweep_grid(_load_catalog(path), **grid), perf.AGGREGATE
     if args.per_unit:
-        interpretation = PER_UNIT
+        interpretation = perf.PER_UNIT
 
-    return [(args.output, sweep_csv_lines(pairs, interpretation))], None
+    return [(args.output, perf.sweep_csv_lines(pairs, interpretation))], None
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--block-bits", type=int, nargs="+")
     p_sweep.add_argument("--device", nargs="+", help="device names (default: whole catalog)")
     p_sweep.add_argument("--cycles-per-task", type=int,
-                         help=f"analytical cycles per block ({DEFAULT_CYCLES_PER_TASK}; use "
+                         help=f"analytical cycles per block ({CORE_CYCLES_PER_BLOCK}; use "
                          f"{UNIT_CYCLES_PER_BLOCK} for the measured handshake-inclusive constant)")
     p_sweep.add_argument("--per-unit", action="store_true",
                          help="report per-unit throughput instead of aggregate")
@@ -231,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dev = sub.add_parser("devices", help="list the FPGA device catalog")
     p_dev.set_defaults(func=cmd_devices)
-    parser.epilog = f"Set {perf.CATALOG_ENV_VAR} to override the device catalog CSV."
+    parser.epilog = f"Set {CATALOG_ENV_VAR} to override the device catalog CSV."
     return parser
 
 
@@ -242,8 +245,17 @@ def main(argv=None) -> int:
         outputs, report = args.func(args)
         new_paths = [path for path, _ in outputs if path is not None and not os.path.lexists(path)]
         with contextlib.ExitStack() as stack:
-            files = [sys.stdout if path is None else stack.enter_context(open(path, "w", newline=""))
+            files = [sys.stdout if path is None
+                     else stack.enter_context(open(path, "w", newline="", opener=_open_untruncated))
                      for path, _ in outputs]
+            # Only now that every output is open may a file that was there lose its
+            # bytes. An empty one is left alone: ext4 flushes a file truncated to
+            # zero when it is closed, which would slow every write to a new file.
+            for fh in files:
+                if fh is not sys.stdout:
+                    st = os.fstat(fh.fileno())
+                    if stat.S_ISREG(st.st_mode) and st.st_size:
+                        fh.truncate(0)
             for fh, (_, lines) in zip(files, outputs):
                 _write_lines(fh, lines)
     except (VerifyError, ValueError, OSError) as exc:

@@ -32,13 +32,13 @@ is a row of the grid, and a refusal is raised again by the flat path, with
 the same message and query index.
 """
 
-import csv
 import io
 import math
 import os
-from dataclasses import dataclass, field
 
+from . import CATALOG_ENV_VAR
 from .aes_core import CORE_CYCLES_PER_BLOCK
+from .array_sim import undecodable_line
 from .primitives import BLOCK_BITS
 
 AGGREGATE = "aggregate"
@@ -51,7 +51,6 @@ ANCHOR_NUM_PIMS = 4096
 FAMILY_ANCHORS = {"datacenter": (3.65, 2.0), "embedded": (18.44, 10.0)}
 _EMBEDDED_LUT_LIMIT = 1_000_000
 
-CATALOG_ENV_VAR = "SPIME_DEVICE_CATALOG"
 BUILTIN_CATALOG = os.path.join(os.path.dirname(__file__), "data", "devices.csv")
 CATALOG_COLUMNS = ("name", "part", "luts", "ffs", "bram", "uram", "dsps")
 
@@ -73,61 +72,69 @@ class SweepError(ValueError):
         self.index = index
 
 
-@dataclass
-class DeviceSpec:
+class _Record:
+    """Equality and repr over ``__slots__``, as a dataclass has over its fields."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(other) is type(self) and all(
+            getattr(self, name) == getattr(other, name) for name in self.__slots__)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class DeviceSpec(_Record):
     """One FPGA part: absolute resource counts, its family and calibrated per-unit costs."""
 
-    name: str
-    part: str
-    luts: int
-    ffs: int
-    bram: int
-    uram: int
-    dsps: int
-    family: str = field(init=False)
-    per_pim_lut_cost: float = field(init=False)
-    per_pim_ff_cost: float = field(init=False)
+    __slots__ = ("name", "part", "luts", "ffs", "bram", "uram", "dsps", "family",
+                 "per_pim_lut_cost", "per_pim_ff_cost")
 
-    def __post_init__(self):
+    def __init__(self, name: str, part: str, luts: int, ffs: int, bram: int, uram: int,
+                 dsps: int):
+        self.name, self.part = name, part
+        self.luts, self.ffs, self.bram, self.uram, self.dsps = luts, ffs, bram, uram, dsps
         for label in ("luts", "ffs", "bram", "uram", "dsps"):
             if getattr(self, label) <= 0:
-                raise ValueError(f"{self.name}: {label} must be positive")
-        self.family = "embedded" if self.luts < _EMBEDDED_LUT_LIMIT else "datacenter"
+                raise ValueError(f"{name}: {label} must be positive")
+        self.family = "embedded" if luts < _EMBEDDED_LUT_LIMIT else "datacenter"
         lut_pct, ff_pct = FAMILY_ANCHORS[self.family]
-        self.per_pim_lut_cost = self.luts * lut_pct / 100.0 / ANCHOR_NUM_PIMS
-        self.per_pim_ff_cost = self.ffs * ff_pct / 100.0 / ANCHOR_NUM_PIMS
+        self.per_pim_lut_cost = luts * lut_pct / 100.0 / ANCHOR_NUM_PIMS
+        self.per_pim_ff_cost = ffs * ff_pct / 100.0 / ANCHOR_NUM_PIMS
         if not (math.isfinite(self.per_pim_lut_cost) and math.isfinite(self.per_pim_ff_cost)):
-            raise OverflowError(f"{self.name}: per-unit cost is not finite")
+            raise OverflowError(f"{name}: per-unit cost is not finite")
 
 
-@dataclass
-class PerfQuery:
+class PerfQuery(_Record):
     """One operating point of the analytical model."""
 
-    num_pims: int
-    fmax_mhz: float
-    block_bits: int = 1024
-    cycles_per_task: int = DEFAULT_CYCLES_PER_TASK
+    __slots__ = ("num_pims", "fmax_mhz", "block_bits", "cycles_per_task")
 
-    def __post_init__(self):
-        if self.num_pims < 1:
-            raise ValueError(f"num_pims must be positive, got {self.num_pims}")
-        if not 0 < self.fmax_mhz < math.inf:
-            raise ValueError(f"fmax_mhz must be positive and finite, got {self.fmax_mhz}")
-        if self.block_bits < 1 or self.block_bits % BLOCK_BITS:
+    def __init__(self, num_pims: int, fmax_mhz: float, block_bits: int = 1024,
+                 cycles_per_task: int = DEFAULT_CYCLES_PER_TASK):
+        if num_pims < 1:
+            raise ValueError(f"num_pims must be positive, got {num_pims}")
+        if not 0 < fmax_mhz < math.inf:
+            raise ValueError(f"fmax_mhz must be positive and finite, got {fmax_mhz}")
+        if block_bits < 1 or block_bits % BLOCK_BITS:
             raise ValueError(
-                f"block_bits must be a positive multiple of {BLOCK_BITS}, got {self.block_bits}"
+                f"block_bits must be a positive multiple of {BLOCK_BITS}, got {block_bits}"
             )
-        if self.cycles_per_task < 1:
-            raise ValueError(f"cycles_per_task must be positive, got {self.cycles_per_task}")
+        if cycles_per_task < 1:
+            raise ValueError(f"cycles_per_task must be positive, got {cycles_per_task}")
+        self.num_pims, self.fmax_mhz = num_pims, fmax_mhz
+        self.block_bits, self.cycles_per_task = block_bits, cycles_per_task
 
 
-@dataclass
-class PerfResult:
-    latency_us: float
-    throughput_gbps: float
-    lut_util_pct: float
-    ff_util_pct: float
+class PerfResult(_Record):
+    __slots__ = ("latency_us", "throughput_gbps", "lut_util_pct", "ff_util_pct")
+
+    def __init__(self, latency_us: float, throughput_gbps: float, lut_util_pct: float,
+                 ff_util_pct: float):
+        self.latency_us, self.throughput_gbps = latency_us, throughput_gbps
+        self.lut_util_pct, self.ff_util_pct = lut_util_pct, ff_util_pct
 
 
 def latency_us(cycles: int, fmax_mhz: float) -> float:
@@ -219,6 +226,8 @@ def sweep_csv_rows(pairs, interpretation: str = AGGREGATE) -> list:
 
 def _csv_field(text: str) -> str:
     """``text`` as a csv.writer row holds it: quoted only when it must be."""
+    import csv
+
     buf = io.StringIO()
     # A second field keeps csv.writer from quoting an empty name as a lone field.
     csv.writer(buf, lineterminator="\n").writerow([text, ""])
@@ -281,27 +290,6 @@ def catalog_path() -> str:
     return os.environ.get(CATALOG_ENV_VAR, BUILTIN_CATALOG)
 
 
-def undecodable_line(path: str, exc: UnicodeDecodeError) -> tuple:
-    """(1-based line, description) of the first byte of ``path`` that is not UTF-8.
-
-    For a text file whose decoding raised ``exc``, which names only an offset
-    into the decoder's chunk: the file is read again as bytes, a leading
-    byte-order mark skipped, and lines end at ``\\n``, ``\\r\\n`` or ``\\r``.
-    Re-raises ``exc`` if the file now decodes.
-    """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    start = 3 if data.startswith(b"\xef\xbb\xbf") else 0
-    try:
-        data[start:].decode("utf-8")
-    except UnicodeDecodeError as found:
-        offset = start + found.start
-        head = data[:offset]
-        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
-        return line, f"byte 0x{data[offset]:02x} at offset {offset} is not UTF-8 ({found.reason})"
-    raise exc
-
-
 def load_device_catalog(path: str = None) -> dict:
     """Load the device catalog CSV at ``path``, by default :func:`catalog_path`.
 
@@ -312,6 +300,8 @@ def load_device_catalog(path: str = None) -> dict:
     device name or a byte that is not UTF-8 (the line of the first such
     byte). A leading UTF-8 byte-order mark is skipped.
     """
+    import csv
+
     if path is None:
         path = catalog_path()
     with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -352,8 +342,7 @@ def load_device_catalog(path: str = None) -> dict:
 # Sweep grids and the published figure presets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SweepGrid:
+class SweepGrid(_Record):
     """Sweep points as products of axes, all at one ``cycles_per_task``.
 
     Each part is a (devices, num_pims, fmax_mhz, block_bits) tuple of tuples.
@@ -361,8 +350,10 @@ class SweepGrid:
     part in device -> num_pims -> fmax -> block_bits order.
     """
 
-    parts: tuple
-    cycles_per_task: int = DEFAULT_CYCLES_PER_TASK
+    __slots__ = ("parts", "cycles_per_task")
+
+    def __init__(self, parts: tuple, cycles_per_task: int = DEFAULT_CYCLES_PER_TASK):
+        self.parts, self.cycles_per_task = parts, cycles_per_task
 
     def __iter__(self):
         cycles = self.cycles_per_task

@@ -52,6 +52,26 @@ def test_a_failed_run_never_deletes_a_file_that_was_there(tmp_path, job, capsys)
     assert result.exists()
 
 
+@pytest.mark.parametrize("kept", [b"keep", b"an old result\n" * 1000], ids=["short", "long"])
+def test_a_failed_open_leaves_an_existing_output_byte_for_byte(tmp_path, job, capsys, kept):
+    result = tmp_path / "r.out"
+    result.write_bytes(kept)
+    argv = ["simulate", "--job", str(job), "--output", str(result), "--trace", str(tmp_path)]
+    assert main(argv) == EXIT_IO
+    assert "Is a directory" in capsys.readouterr().err
+    assert result.read_bytes() == kept
+
+
+def test_an_existing_longer_output_is_replaced_not_overlaid(tmp_path, job, capsys):
+    result = tmp_path / "r.out"
+    assert main(["simulate", "--job", str(job), "--output", str(result)]) == 0
+    want = result.read_bytes()
+    result.write_bytes(b"x" * (3 * len(want)))
+    assert main(["simulate", "--job", str(job), "--output", str(result)]) == 0
+    capsys.readouterr()
+    assert result.read_bytes() == want
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that refuses writes")
 def test_a_failed_write_removes_the_files_the_run_created(tmp_path, job, capsys):
     result = tmp_path / "r.out"

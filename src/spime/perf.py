@@ -23,13 +23,14 @@ bounds, so FF percentages are approximate.
 
 The model is separable, and a sweep is evaluated per axis: latency depends
 only on the clock (and the cycle count), utilization only on the device and
-the unit count, and only throughput needs the whole point. So
+the unit count, and throughput on everything but the device. So
 :func:`sweep_csv_lines` takes latency once per clock and utilization once
 per (device, unit count), each from :func:`evaluate` at one point of the
-grid, and computes throughput once per row. :func:`evaluate` is the one
-owner of the model's refusal rules: every point the renderer asks it about
-is a row of the grid, and a refusal is raised again by the flat path, with
-the same message and query index.
+grid, and renders throughput once per (unit count, clock, block size),
+shared by every device; each (device, unit count)'s rows are one string.
+:func:`evaluate` is the one owner of the model's refusal rules: every point
+the renderer asks it about is a row of the grid, and a refusal is raised
+again by the flat path, with the same message and query index.
 """
 
 import io
@@ -235,7 +236,7 @@ def _csv_field(text: str) -> str:
 
 
 def _grid_lines(grid: "SweepGrid", interpretation: str) -> list:
-    """The CSV lines of :func:`sweep_csv_lines`; raises on any point the model refuses."""
+    """The strings of :func:`sweep_csv_lines`; raises on any point the model refuses."""
     lines = [",".join(CSV_HEADER)]
     cycles = grid.cycles_per_task
     isfinite = math.isfinite
@@ -252,24 +253,32 @@ def _grid_lines(grid: "SweepGrid", interpretation: str) -> list:
             lat = evaluate(PerfQuery(n0, f, b0, cycles), d0, interpretation).latency_us
             lat_text = round(lat, 4)
             clock_cells.extend((f"{f},{b},{lat_text},", b, lat) for b in block_bits)
+        # Throughput reads no device: "n,fmax,bits,latency,throughput" per unit count,
+        # one text per (clock, block size), shared by every device's rows.
+        unit_cells = []
+        for n in num_pims:
+            cells = []
+            for cell, b, lat in clock_cells:
+                thr = _throughput(interpretation, n, b, lat)
+                if not isfinite(thr):
+                    raise ValueError(f"throughput {thr} is outside the model's range")
+                cells.append(f"{n},{cell}{round(thr, 4)}")
+            unit_cells.append(cells)
         for device in devices:
-            name = _csv_field(device.name)
-            for n in num_pims:
+            head = _csv_field(device.name) + ","
+            for n, cells in zip(num_pims, unit_cells):
                 res = evaluate(PerfQuery(n, f0, b0, cycles), device, interpretation)
-                head = f"{name},{n},"
                 tail = f",{round(res.lut_util_pct, 4)},{round(res.ff_util_pct, 4)}"
-                for cell, b, lat in clock_cells:
-                    thr = _throughput(interpretation, n, b, lat)
-                    if not isfinite(thr):
-                        raise ValueError(f"throughput {thr} is outside the model's range")
-                    lines.append(f"{head}{cell}{round(thr, 4)}{tail}")
+                lines.append(head + (tail + "\n" + head).join(cells) + tail)
     return lines
 
 
 def sweep_csv_lines(grid: "SweepGrid", interpretation: str = AGGREGATE) -> list:
-    """The sweep CSV of a :class:`SweepGrid` as lines without newlines, header first.
+    """The sweep CSV of a :class:`SweepGrid` as strings, the header first.
 
-    The lines hold the bytes csv.writer writes for CSV_HEADER and
+    Each string after the header holds one (device, unit count)'s rows joined
+    by ``\\n``, with no final newline, so ``"".join(s + "\\n" for s in ...)`` is
+    the CSV: the bytes csv.writer writes for CSV_HEADER and
     :func:`sweep_csv_rows`, evaluated per axis (see the module docstring).
     When any point is refused, the grid is evaluated again through
     :func:`sweep`, which raises the one-point path's error.

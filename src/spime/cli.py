@@ -1,17 +1,19 @@
 """Command-line front end: encrypt blocks, run cycle-accurate array jobs,
 emit performance-sweep CSVs, and list the device catalog.
 
-Each command returns ``(outputs, report)``: ``(path, lines)`` pairs (path None
-for stdout) and a status line or None. :func:`main` alone opens every output
-before it empties or writes to any, removes the files it created if the run
-fails, and prints the report last. It alone maps errors to exit codes: 0
-success, 2 ``ValueError`` (bad operand, job file, catalog or flag), 3
-``OSError``, 4 :class:`VerifyError`. Any other exception is a bug and
-propagates. Only ``sweep`` and ``devices`` import :mod:`spime.perf`.
+Each command returns ``(outputs, report)``: ``(path, lines)`` pairs (path None for
+stdout) and a status line or None. :func:`main` alone writes them, each regular file
+to a new file beside it that is renamed onto it only once every write has succeeded
+(stdout and devices in place), so a failed run changes no regular file. It prints
+the report last and alone maps errors to exit codes: 0 success, 2 ``ValueError``
+(bad operand, job file, catalog or flag), 3 ``OSError``, 4 :class:`VerifyError`; any
+other exception is a bug and propagates. Only ``sweep`` and ``devices`` import
+:mod:`spime.perf`.
 """
 
 import argparse
 import contextlib
+import errno
 import os
 import stat
 import sys
@@ -90,9 +92,31 @@ def _refuse_shared_files(paths) -> None:
                 raise ValueError(f"{first} and {label} name the same file")
 
 
-def _open_untruncated(path, flags):
-    """``open``'s opener for an output: create it if need be, but leave its bytes."""
-    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+def _open_output(path, staged):
+    """Open output ``path`` in place if it is there but not a regular file (a device, or a pipe
+    as ``/dev/fd/N``), else as a new file beside its resolved target: ``staged[new] = target``."""
+    try:
+        st = os.stat(path)
+    except FileNotFoundError:
+        st = None
+    if st is not None and not stat.S_ISREG(st.st_mode):
+        return open(path, "w", newline="")
+    if st is not None and not os.access(path, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+    target, n = os.path.realpath(path), 0
+    # 32 characters of the name keep it short; the count steps past a killed run's file.
+    head = os.path.join(os.path.dirname(target), f".{os.path.basename(target)[:32]}.{os.getpid()}")
+    while os.path.lexists(new := f"{head}.{n}.tmp"):
+        n += 1
+    try:
+        fd = os.open(new, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        exc.filename = path  # name the user's path, never the new file's
+        raise
+    staged[new] = target
+    if st is not None:
+        os.fchmod(fd, stat.S_IMODE(st.st_mode))
+    return open(fd, "w", newline="")
 
 
 def _write_lines(fh, lines) -> None:
@@ -240,30 +264,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    new_paths = []
+    staged = {}
     try:
         outputs, report = args.func(args)
-        new_paths = [path for path, _ in outputs if path is not None and not os.path.lexists(path)]
         with contextlib.ExitStack() as stack:
-            files = [sys.stdout if path is None
-                     else stack.enter_context(open(path, "w", newline="", opener=_open_untruncated))
+            files = [sys.stdout if path is None else stack.enter_context(_open_output(path, staged))
                      for path, _ in outputs]
-            # Only now that every output is open may a file that was there lose its
-            # bytes. An empty one is left alone: ext4 flushes a file truncated to
-            # zero when it is closed, which would slow every write to a new file.
-            for fh in files:
-                if fh is not sys.stdout:
-                    st = os.fstat(fh.fileno())
-                    if stat.S_ISREG(st.st_mode) and st.st_size:
-                        fh.truncate(0)
             for fh, (_, lines) in zip(files, outputs):
                 _write_lines(fh, lines)
+        for new, target in staged.items():
+            os.replace(new, target)
     except (VerifyError, ValueError, OSError) as exc:
-        for path in filter(os.path.lexists, new_paths):
-            os.remove(path)
         print(f"error: {exc}", file=sys.stderr)
         return (EXIT_VERIFY if isinstance(exc, VerifyError)
                 else EXIT_USAGE if isinstance(exc, ValueError) else EXIT_IO)
+    finally:  # a staged file still there was never renamed: the run failed or was interrupted
+        for new in filter(os.path.lexists, staged):
+            os.remove(new)
     if report is not None:
         print(report, file=sys.stderr if any(path is None for path, _ in outputs) else sys.stdout)
     return EXIT_OK

@@ -1,13 +1,17 @@
-"""A run that exits non-zero creates no file: `main` opens every output a
-command returns before it writes to any, and a failed run removes the
-files it created (never one that was there before it)."""
+"""A run that exits non-zero changes no regular file: `main` writes each
+output a command returns to a new file beside its target, renames them onto
+their targets only after every write has succeeded, and removes them if the
+run fails (never a file that was there before it)."""
 
 import errno
 import os
 import random
+import stat
+from pathlib import Path
 
 import pytest
 
+from spime import cli
 from spime.cli import EXIT_IO, main
 
 from test_cli import C1_KEY_HEX, C1_PT_HEX, write_job
@@ -98,3 +102,135 @@ def test_an_output_in_a_missing_directory_creates_no_file(tmp_path, capsys, comm
     assert "No such file or directory" in captured.err
     assert captured.out == ""
     assert _files(tmp_path) == before
+
+
+@pytest.mark.parametrize("output, trace", [
+    ("{tmp}/r.out", "{tmp}"),
+    ("{tmp}", "{tmp}/t.csv"),
+    pytest.param("{tmp}/r.out", "/dev/full", marks=pytest.mark.skipif(
+        not os.path.exists("/dev/full"), reason="needs a device that refuses writes")),
+    ("{tmp}/r.out", "{tmp}/missing/t.csv"),
+], ids=["unopenable-trace", "unopenable-result", "dev-full", "missing-directory"])
+@pytest.mark.parametrize("kept", [False, True], ids=["new", "existing"])
+def test_a_failed_run_leaves_no_staged_file(tmp_path, job, capsys, output, trace, kept):
+    if kept:
+        (tmp_path / "r.out").write_bytes(b"keep")
+    before = {path: Path(path).read_bytes() for path in _files(tmp_path)}
+    argv = ["simulate", "--job", str(job), "--output", output.format(tmp=tmp_path),
+            "--trace", trace.format(tmp=tmp_path)]
+    assert main(argv) == EXIT_IO
+    assert capsys.readouterr().out == ""
+    assert {path: Path(path).read_bytes() for path in _files(tmp_path)} == before
+
+
+def test_an_output_in_a_missing_directory_names_the_path_as_given(tmp_path, job, capsys):
+    result = tmp_path / "missing" / "r.out"
+    assert main(["simulate", "--job", str(job), "--output", str(result)]) == EXIT_IO
+    assert capsys.readouterr().err == (f"error: [Errno {errno.ENOENT}] "
+                                       f"{os.strerror(errno.ENOENT)}: {str(result)!r}\n")
+
+
+def test_a_symlinked_output_is_replaced_through_the_link(tmp_path, job, capsys):
+    want = tmp_path / "want.out"
+    assert main(["simulate", "--job", str(job), "--output", str(want)]) == 0
+    target, link = tmp_path / "target.out", tmp_path / "link.out"
+    target.write_bytes(b"keep")
+    link.symlink_to(target)
+    assert main(["simulate", "--job", str(job), "--output", str(link)]) == 0
+    capsys.readouterr()
+    assert link.is_symlink() and link.resolve() == target
+    assert target.read_bytes() == want.read_bytes()
+    assert _files(tmp_path) == {str(job), str(want), str(target), str(link)}
+
+
+def test_a_replaced_output_keeps_its_mode(tmp_path, job, capsys):
+    result = tmp_path / "r.out"
+    result.write_bytes(b"keep")
+    result.chmod(0o640)
+    assert main(["simulate", "--job", str(job), "--output", str(result)]) == 0
+    capsys.readouterr()
+    assert result.read_bytes() != b"keep"
+    assert stat.S_IMODE(result.stat().st_mode) == 0o640
+
+
+def test_a_second_hard_link_keeps_the_old_bytes(tmp_path, job, capsys):
+    result, other = tmp_path / "r.out", tmp_path / "other.out"
+    result.write_bytes(b"keep")
+    other.hardlink_to(result)
+    assert main(["simulate", "--job", str(job), "--output", str(result)]) == 0
+    capsys.readouterr()
+    assert result.read_bytes() != b"keep"
+    assert other.read_bytes() == b"keep"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs a null device")
+def test_a_device_output_is_written_in_place(job, capsys):
+    assert main(["simulate", "--job", str(job), "--output", os.devnull]) == 0
+    assert "total_cycles=" in capsys.readouterr().out
+    assert not stat.S_ISREG(os.stat(os.devnull).st_mode)
+
+
+@pytest.mark.skipif(os.geteuid() == 0, reason="root may write any file")
+def test_a_read_only_output_is_refused_and_left_as_it_was(tmp_path, job, capsys):
+    result = tmp_path / "r.out"
+    result.write_bytes(b"keep")
+    result.chmod(0o444)
+    assert main(["simulate", "--job", str(job), "--output", str(result)]) == EXIT_IO
+    assert capsys.readouterr().err == (f"error: [Errno {errno.EACCES}] "
+                                       f"{os.strerror(errno.EACCES)}: {str(result)!r}\n")
+    assert result.read_bytes() == b"keep"
+    assert _files(tmp_path) == {str(job), str(result)}
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_a_pipe_named_through_dev_fd_is_written_in_place(tmp_path, job, capsys):
+    want = tmp_path / "want.csv"
+    assert main(["simulate", "--job", str(job), "--output", os.devnull, "--trace", str(want)]) == 0
+    read_end, write_end = os.pipe()
+    try:
+        assert main(["simulate", "--job", str(job), "--output", os.devnull,
+                     "--trace", f"/dev/fd/{write_end}"]) == 0
+    finally:
+        os.close(write_end)
+    capsys.readouterr()
+    with open(read_end, "rb") as fh:
+        assert fh.read() == want.read_bytes()
+    assert _files(tmp_path) == {str(job), str(want)}
+
+
+def test_a_killed_runs_staged_file_does_not_block_the_output(tmp_path, job, capsys):
+    want, result = tmp_path / "want.out", tmp_path / "r.out"
+    assert main(["simulate", "--job", str(job), "--output", str(want)]) == 0
+    leftovers = [tmp_path / f".r.out.{os.getpid()}{n}.tmp" for n in ("", ".0", ".1")]
+    for leftover in leftovers:
+        leftover.write_bytes(b"killed")
+    assert main(["simulate", "--job", str(job), "--output", str(result)]) == 0
+    capsys.readouterr()
+    assert result.read_bytes() == want.read_bytes()
+    assert all(leftover.read_bytes() == b"killed" for leftover in leftovers)
+    assert _files(tmp_path) == {str(job), str(want), str(result), *map(str, leftovers)}
+
+
+def test_outputs_with_long_names_are_written(tmp_path, job, capsys):
+    """A staged name holds at most 32 characters of its target's name, so names at the file
+    system's limit are written, also two that share those 32 characters."""
+    want, want_trace = tmp_path / "want.out", tmp_path / "want.csv"
+    assert main(["simulate", "--job", str(job), "--output", str(want),
+                 "--trace", str(want_trace)]) == 0
+    limit = os.pathconf(tmp_path, "PC_NAME_MAX")
+    result, trace = tmp_path / ("r" * limit), tmp_path / ("r" * (limit - 4) + ".csv")
+    assert main(["simulate", "--job", str(job), "--output", str(result), "--trace", str(trace)]) == 0
+    capsys.readouterr()
+    assert result.read_bytes() == want.read_bytes()
+    assert trace.read_bytes() == want_trace.read_bytes()
+    assert _files(tmp_path) == {str(job), str(want), str(want_trace), str(result), str(trace)}
+
+
+def test_an_interrupted_run_leaves_no_staged_file(tmp_path, job, monkeypatch):
+    def interrupt(fh, lines):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_write_lines", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        main(["simulate", "--job", str(job), "--output", str(tmp_path / "r.out")])
+    assert _files(tmp_path) == {str(job)}

@@ -1,14 +1,15 @@
 """Command-line front end: encrypt blocks, run cycle-accurate array jobs,
 emit performance-sweep CSVs, and list the device catalog.
 
-Each command returns ``(outputs, report)``: ``(path, lines)`` pairs (path None for
-stdout) and a status line or None. :func:`main` alone writes them, each regular file
-to a new file beside it that is renamed onto it only once every write has succeeded
-(stdout and devices in place), so a failed run changes no regular file. It prints
-the report last and alone maps errors to exit codes: 0 success, 2 ``ValueError``
-(bad operand, job file, catalog or flag), 3 ``OSError``, 4 :class:`VerifyError`; any
-other exception is a bug and propagates. Only ``sweep`` and ``devices`` import
-:mod:`spime.perf`.
+Each command returns its outputs, ``(where, lines)`` pairs: ``where`` is a path, None
+for stdout, or a stream (``simulate``'s report, which is its last output). :func:`main`
+alone writes them, in order and each flushed before the next, every regular file to a
+new file beside it that is renamed onto it only once every write has succeeded (streams
+and devices in place), so a failed run changes no regular file. It alone maps errors to
+exit codes: 0 success, 2 ``ValueError`` (bad operand, job file, catalog or flag), 3
+``OSError``, 4 :class:`VerifyError`; any other exception is a bug and propagates. Without
+``argv`` it is the program and sends stdout to the null device after an ``OSError``, so
+Python's exit-time flush cannot fail. Only ``sweep`` and ``devices`` import :mod:`spime.perf`.
 """
 
 import argparse
@@ -93,13 +94,13 @@ def _refuse_shared_files(paths) -> None:
 
 
 def _open_output(path, staged):
-    """Open output ``path`` in place if it is there but not a regular file (a device, or a pipe
-    as ``/dev/fd/N``), else as a new file beside its resolved target: ``staged[new] = target``."""
+    """Open ``path`` in place if it ends in no name or is there but not a regular file (a device,
+    a pipe as ``/dev/fd/N``), else as a new file beside its target: ``staged[new] = target``."""
     try:
         st = os.stat(path)
     except FileNotFoundError:
         st = None
-    if st is not None and not stat.S_ISREG(st.st_mode):
+    if os.path.basename(path) in ("", ".", "..") or st is not None and not stat.S_ISREG(st.st_mode):
         return open(path, "w", newline="")
     if st is not None and not os.access(path, os.W_OK):
         raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
@@ -127,7 +128,7 @@ def _write_lines(fh, lines) -> None:
 # encrypt
 # ---------------------------------------------------------------------------
 
-def cmd_encrypt(args) -> tuple:
+def cmd_encrypt(args) -> list:
     _refuse_shared_files({"--input": args.input, "--output": args.output})
     if args.input is not None:
         if args.key or args.plaintext:
@@ -144,14 +145,14 @@ def cmd_encrypt(args) -> tuple:
             if ciphertext != reference_encrypt(key, plaintext):
                 raise VerifyError(f"{plaintext.hex()}: FSM ciphertext disagrees with the "
                                   "composition oracle")
-    return [(args.output, (ciphertext.hex() for (ciphertext,) in ciphertexts))], None
+    return [(args.output, (ciphertext.hex() for (ciphertext,) in ciphertexts))]
 
 
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
 
-def cmd_simulate(args) -> tuple:
+def cmd_simulate(args) -> list:
     _refuse_shared_files({"--job": args.job, "--output": args.output, "--trace": args.trace})
     job = _read_job(args.job)
     if args.num_pims not in (None, job.num_units):
@@ -167,16 +168,17 @@ def cmd_simulate(args) -> tuple:
     outputs = [(args.output, format_result_lines(job, result))]
     if args.trace is not None:
         outputs.append((args.trace, array.iter_trace_lines()))
-    return outputs, (f"num_pims={cfg.num_pims} blocks_per_unit={cfg.blocks_per_unit} "
-                     f"total_cycles={result.total_cycles} "
-                     f"per_block_cycles={result.total_cycles // cfg.blocks_per_unit}")
+    outputs.append((sys.stderr if args.output is None else None, [
+        f"num_pims={cfg.num_pims} blocks_per_unit={cfg.blocks_per_unit} total_cycles="
+        f"{result.total_cycles} per_block_cycles={result.total_cycles // cfg.blocks_per_unit}"]))
+    return outputs
 
 
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
 
-def cmd_sweep(args) -> tuple:
+def cmd_sweep(args) -> list:
     from . import perf
 
     path = perf.catalog_path()
@@ -193,21 +195,21 @@ def cmd_sweep(args) -> tuple:
     if args.per_unit:
         interpretation = perf.PER_UNIT
 
-    return [(args.output, perf.sweep_csv_lines(pairs, interpretation))], None
+    return [(args.output, perf.sweep_csv_lines(pairs, interpretation))]
 
 
 # ---------------------------------------------------------------------------
 # devices
 # ---------------------------------------------------------------------------
 
-def cmd_devices(_args) -> tuple:
+def cmd_devices(_args) -> list:
     catalog = _load_catalog()
     header = (f"{'Device':<8} {'Part':<22} {'LUTs':>6} {'FFs':>6} {'BRAM':>5} {'URAM':>5} "
               f"{'DSPs':>5} {'Family':<10}")
     rows = (f"{spec.name:<8} {spec.part:<22} {spec.luts // 1000:>5}K {spec.ffs // 1000:>5}K "
             f"{spec.bram:>5} {spec.uram:>5} {spec.dsps:>5} {spec.family}"
             for spec in catalog.values())
-    return [(None, [header.rstrip(), "-" * len(header), *rows])], None
+    return [(None, [header.rstrip(), "-" * len(header), *rows])]
 
 
 # ---------------------------------------------------------------------------
@@ -227,11 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_enc.add_argument("plaintext", nargs="?", help="128-bit plaintext as 32 hex chars")
     p_enc.add_argument("--input", help="file of '<key-hex> <plaintext-hex>' lines")
     p_enc.add_argument("--output", help="write ciphertext hex lines to this file")
-    p_enc.add_argument(
-        "--verify",
-        action="store_true",
-        help="cross-check the array's result against the composition oracle",
-    )
+    p_enc.add_argument("--verify", action="store_true",
+                       help="cross-check the array's result against the composition oracle")
     p_enc.set_defaults(func=cmd_encrypt)
 
     p_sim = sub.add_parser("simulate", help="run a job file through the lockstep array")
@@ -266,23 +265,24 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     staged = {}
     try:
-        outputs, report = args.func(args)
+        outputs = args.func(args)
         with contextlib.ExitStack() as stack:
-            files = [sys.stdout if path is None else stack.enter_context(_open_output(path, staged))
-                     for path, _ in outputs]
+            files = [stack.enter_context(_open_output(where, staged)) if isinstance(where, str)
+                     else where or sys.stdout for where, _ in outputs]
             for fh, (_, lines) in zip(files, outputs):
                 _write_lines(fh, lines)
+                fh.flush()  # a write that fails must fail before the next output goes out
         for new, target in staged.items():
             os.replace(new, target)
     except (VerifyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if argv is None and isinstance(exc, OSError):  # unwritten bytes stay in stdout's buffer
+            os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
         return (EXIT_VERIFY if isinstance(exc, VerifyError)
                 else EXIT_USAGE if isinstance(exc, ValueError) else EXIT_IO)
     finally:  # a staged file still there was never renamed: the run failed or was interrupted
         for new in filter(os.path.lexists, staged):
             os.remove(new)
-    if report is not None:
-        print(report, file=sys.stderr if any(path is None for path, _ in outputs) else sys.stdout)
     return EXIT_OK
 
 

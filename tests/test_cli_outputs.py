@@ -3,10 +3,13 @@ output a command returns to a new file beside its target, renames them onto
 their targets only after every write has succeeded, and removes them if the
 run fails (never a file that was there before it)."""
 
+import contextlib
 import errno
 import os
 import random
 import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,6 +18,7 @@ from spime import cli
 from spime.cli import EXIT_IO, main
 
 from test_cli import C1_KEY_HEX, C1_PT_HEX, write_job
+from test_startup import SRC
 
 
 def _files(root):
@@ -234,3 +238,72 @@ def test_an_interrupted_run_leaves_no_staged_file(tmp_path, job, monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         main(["simulate", "--job", str(job), "--output", str(tmp_path / "r.out")])
     assert _files(tmp_path) == {str(job)}
+
+
+@pytest.mark.parametrize("output, message", [
+    ("", f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: ''"),
+    ("nd/", f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: 'nd/'"),
+    ("d/.", f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: 'd/.'"),
+    ("missing/..", f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: 'missing/..'"),
+], ids=["empty", "trailing-slash", "dot", "dot-dot"])
+def test_a_path_that_does_not_end_in_a_name_is_refused_as_open_refuses_it(
+        tmp_path, job, capsys, monkeypatch, output, message):
+    (tmp_path / "cwd").mkdir()
+    monkeypatch.chdir(tmp_path / "cwd")
+    before = _files(tmp_path)
+    assert main(["simulate", "--job", str(job), "--output", output]) == EXIT_IO
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert _files(tmp_path) == before
+
+
+@pytest.mark.parametrize("sink", ["closed-pipe", "dev-full"])
+@pytest.mark.parametrize("command", [
+    ["encrypt", C1_KEY_HEX, C1_PT_HEX],
+    ["simulate", "--job", "{job}", "--output", "R"],
+    ["simulate", "--job", "{job}"],
+    ["sweep", "--figure", "3"],
+    ["devices"],
+], ids=["encrypt", "simulate-output", "simulate-stdout", "sweep", "devices"])
+def test_a_failed_stdout_write_exits_3_and_writes_no_file(tmp_path, job, command, sink):
+    """The report line is an output like any other: a failed write of it is an ``OSError``.
+    Stdout is buffered, as by default, so what it could not write is still buffered at exit,
+    where Python flushes it again; that flush must not fail (Python would exit 120)."""
+    if sink == "dev-full" and not os.path.exists("/dev/full"):
+        pytest.skip("needs a device that refuses writes")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("SPIME_DEVICE_CATALOG", "PYTHONUNBUFFERED")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    if sink == "closed-pipe":
+        read_end, stdout = os.pipe()
+        os.close(read_end)
+    else:
+        stdout = os.open("/dev/full", os.O_WRONLY)
+    code = errno.EPIPE if sink == "closed-pipe" else errno.ENOSPC
+    try:
+        proc = subprocess.run([sys.executable, "-m", "spime", *(a.format(job=job) for a in command)],
+                              cwd=tmp_path, env=env, stdout=stdout, stderr=subprocess.PIPE,
+                              text=True, timeout=60)
+    finally:
+        os.close(stdout)
+    assert (proc.returncode, proc.stderr) == (EXIT_IO, f"error: [Errno {code}] "
+                                              f"{os.strerror(code)}\n")
+    assert _files(tmp_path) == {str(job)}
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that refuses writes")
+def test_a_failed_report_write_leaves_an_existing_output_as_it_was(tmp_path, job, capsys,
+                                                                    monkeypatch):
+    result = tmp_path / "r.out"
+    result.write_bytes(b"keep")
+    full = open("/dev/full", "w")
+    monkeypatch.setattr(sys, "stdout", full)
+    try:
+        assert main(["simulate", "--job", str(job), "--output", str(result)]) == EXIT_IO
+    finally:
+        monkeypatch.undo()
+        with contextlib.suppress(OSError):  # the report line it could not write is still buffered
+            full.close()
+    assert capsys.readouterr().err == (f"error: [Errno {errno.ENOSPC}] "
+                                       f"{os.strerror(errno.ENOSPC)}\n")
+    assert result.read_bytes() == b"keep"
+    assert _files(tmp_path) == {str(job), str(result)}

@@ -30,6 +30,8 @@ class AesCoreInputs:
     expansion happens upstream of the core. The raw ``key`` port is part
     of the core's pinout but unused here for the same reason. ``data_in``
     and every round key carry one 16-byte lane per unit, the same count.
+    The checks run when a port is built; :class:`~spime.controller.PimUnit`
+    builds one only when a bus changes and otherwise sets ``start`` alone.
     """
 
     __slots__ = ("start", "data_in", "round_keys", "key")
@@ -55,6 +57,8 @@ def datapath(state: str, rnd: int, state_reg: bytes, data_in: bytes, round_keys:
     unit, with ``data_in`` and ``round_keys`` in the same layout: one lane
     for a lone core, N for the lockstep array's one ``PimUnit`` on N-lane
     buses. Only this function knows how each state updates the register.
+    A job's round-key registers serve every block, so :func:`block_round`
+    turns each into an int once per job, not once per round.
     """
     if state == ROUND:
         return block_round(state_reg, round_keys[rnd + 1])

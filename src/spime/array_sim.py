@@ -180,6 +180,7 @@ class SpimeArraySim:
         self._trace = []  # one control record per cycle: TRACE_HEADER minus "unit"
         self._inputs = None  # per block index, the register of every unit's input
         self._round_keys = None
+        self._blocks = 0  # the job's blocks per unit, read once per job
         self._captured = []  # the controller's data_out at each done pulse
 
     @property
@@ -208,22 +209,24 @@ class SpimeArraySim:
             )
         self._round_keys = expand_keys(job.key_register)
         self._inputs = job.input_registers
+        self._blocks = job.blocks_per_unit
         self._captured = []
 
     def job_complete(self) -> bool:
         """True once every block is captured and the control is idle again."""
-        return (self._inputs is not None and len(self._captured) >= self.cfg.blocks_per_unit
+        return (self._inputs is not None and len(self._captured) >= self._blocks
                 and self._obs[:5] == (C_IDLE, IDLE, False, False, False))
 
     def tick(self) -> list:
         """Advance the array exactly one global cycle; returns observations."""
         # Start is sampled only in IDLE; a busy core works on the first uncaptured block.
         captured = len(self._captured)
-        start = self._inputs is not None and captured < self.cfg.blocks_per_unit
+        start = captured < self._blocks  # no job loaded: no blocks
         # Start stays high until the last block is captured, so a core with
-        # start low is idle and reads no data.
+        # start low is idle and reads no data. The buses are the same objects
+        # for a whole block, so the unit checks them once per block.
         data_in, round_keys = (self._inputs[captured], self._round_keys) if start else _IDLE_INPUTS
-        self._control.tick(start=start, data_in=data_in, round_keys=round_keys)
+        self._control.tick(start, data_in, round_keys)
 
         self.cycle += 1
         self._obs = obs = self._observe()
@@ -264,7 +267,7 @@ class SpimeArraySim:
     def run_job(self, job: SpimeJob) -> SpimeResult:
         """Run a staged job to completion and collect all ciphertexts."""
         self.load_job(job)
-        budget = self.cfg.blocks_per_unit * UNIT_CYCLES_PER_BLOCK + 64
+        budget = self._blocks * UNIT_CYCLES_PER_BLOCK + 64
         start_cycle = self.cycle
         while not self.job_complete():
             self.tick()
@@ -273,7 +276,7 @@ class SpimeArraySim:
         return SpimeResult(
             output_registers=list(self._captured),
             total_cycles=self.cycle - start_cycle,
-            done_flags=[len(self._captured) == self.cfg.blocks_per_unit] * self.cfg.num_pims,
+            done_flags=[len(self._captured) == self._blocks] * self.cfg.num_pims,
         )
 
 

@@ -198,6 +198,23 @@ def _masks(nbytes: int) -> _Masks:
                         for lane in _LANE_MASKS.values())
 
 
+# id -> (round key, its int) for at most NUM_ROUND_KEYS ``bytes`` round keys
+# block_round saw; holding the key keeps its id from passing to another object.
+_round_key_ints = {}
+
+
+def _round_key_int(round_key) -> int:
+    """``round_key`` as a big-endian int; a ``bytes`` key is converted once while cached."""
+    if type(round_key) is not bytes:
+        return int.from_bytes(round_key, "big")
+    entry = _round_key_ints.get(id(round_key))
+    if entry is None:
+        if len(_round_key_ints) >= NUM_ROUND_KEYS:  # another job's keys
+            _round_key_ints.clear()
+        entry = _round_key_ints[id(round_key)] = (round_key, int.from_bytes(round_key, "big"))
+    return entry[1]
+
+
 def block_round(register: bytes, round_key: bytes, final: bool = False) -> bytes:
     """One AES round on every lane of a register; the final round skips MixColumns.
 
@@ -208,7 +225,8 @@ def block_round(register: bytes, round_key: bytes, final: bool = False) -> bytes
     the big-endian int: with ``rot8``/``rot16`` rotating every column word
     left by one/two bytes, row r of a column becomes
     ``2(s_r ^ s_r+1) ^ s_r ^ (s_0 ^ s_1 ^ s_2 ^ s_3)`` (Daemen & Rijmen,
-    *The Design of Rijndael*, 2002, section 4.1).
+    *The Design of Rijndael*, 2002, section 4.1). A job's round-key registers
+    serve every block, so each becomes an int once (:func:`_round_key_int`).
     """
     m = _masks(len(register))
     x = int.from_bytes(register.translate(SBOX), "big")
@@ -220,7 +238,7 @@ def block_round(register: bytes, round_key: bytes, final: bool = False) -> bytes
         half = x ^ ((x << 16) & m.hi16) ^ ((x >> 16) & m.lo16)  # x ^ rot16(x)
         column = half ^ ((half << 8) & m.hi24) ^ ((half >> 24) & m.lo8)  # XOR of the column
         x ^= ((pair & m.low7) << 1) ^ ((pair >> 7) & m.lsb) * 0x1B ^ column  # xtime(pair)
-    return (x ^ int.from_bytes(round_key, "big")).to_bytes(len(register), "big")
+    return (x ^ _round_key_int(round_key)).to_bytes(len(register), "big")
 
 
 def xor_blocks(a: bytes, b: bytes) -> bytes:

@@ -307,3 +307,24 @@ def test_a_failed_report_write_leaves_an_existing_output_as_it_was(tmp_path, job
                                        f"{os.strerror(errno.ENOSPC)}\n")
     assert result.read_bytes() == b"keep"
     assert _files(tmp_path) == {str(job), str(result)}
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that refuses writes")
+@pytest.mark.parametrize("command, code", [
+    (["simulate", "--job", "{job}"], EXIT_IO),
+    (["simulate", "--job", "missing.job", "--output", "R"], EXIT_IO),
+    (["simulate", "--job", "{job}", "--num-pims", "5", "--output", "R"], cli.EXIT_USAGE),
+], ids=["report-line", "missing-job", "usage-error"])
+def test_a_failed_stderr_keeps_the_exit_code(tmp_path, job, command, code):
+    """The report line (on stderr when the result goes to stdout) and the ``error:`` line fail
+    on a full stderr; the exit code still tells. Stderr is buffered, as by default, so what it
+    could not write is still buffered at exit, where Python flushes it again; that flush must
+    not fail (Python would exit 120)."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("SPIME_DEVICE_CATALOG", "PYTHONUNBUFFERED")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    with open(os.devnull, "w") as stdout, open("/dev/full", "w") as stderr:
+        proc = subprocess.run([sys.executable, "-m", "spime", *(a.format(job=job) for a in command)],
+                              cwd=tmp_path, env=env, stdout=stdout, stderr=stderr, timeout=60)
+    assert proc.returncode == code
+    assert _files(tmp_path) == {str(job)}

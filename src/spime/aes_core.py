@@ -57,8 +57,8 @@ def datapath(state: str, rnd: int, state_reg: bytes, data_in: bytes, round_keys:
     unit, with ``data_in`` and ``round_keys`` in the same layout: one lane
     for a lone core, N for the lockstep array's one ``PimUnit`` on N-lane
     buses. Only this function knows how each state updates the register.
-    A job's round-key registers serve every block, so :func:`block_round`
-    turns each into an int once per job, not once per round.
+    Each :class:`~spime.primitives.RoundKey` from ``expand_keys`` carries
+    its int, so a job's keys are converted once per job, not once per round.
     """
     if state == ROUND:
         return block_round(state_reg, round_keys[rnd + 1])

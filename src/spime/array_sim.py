@@ -52,10 +52,10 @@ class ConfigError(ValueError):
 
 
 class JobFormatError(ValueError):
-    """Malformed job file; carries the offending 1-based line number."""
+    """Malformed job file; carries the offending 1-based line number, or None for the whole file."""
 
-    def __init__(self, lineno: int, message: str):
-        super().__init__(f"line {lineno}: {message}")
+    def __init__(self, lineno: int | None, message: str):
+        super().__init__(message if lineno is None else f"line {lineno}: {message}")
         self.lineno = lineno
 
 
@@ -334,7 +334,7 @@ def parse_job_lines(lines, blocks_per_unit=None) -> SpimeJob:
         key_hex.append(parts[0])
         block_hex.append(parts[1])
     if not key_hex:
-        raise JobFormatError(0, "job file holds no units")
+        raise JobFormatError(None, "job file holds no units")
     unit_major = ",".join(block_hex).split(",")
     return SpimeJob.from_registers(
         bytes.fromhex("".join(key_hex)),

@@ -8,9 +8,9 @@ new file beside it that is renamed onto it only once every write has succeeded (
 and devices in place), so a failed run changes no regular file. It alone maps errors to
 exit codes: 0 success, 2 ``ValueError`` (bad operand, job file, catalog or flag), 3
 ``OSError``, 4 :class:`VerifyError`; any other exception is a bug and propagates. Without
-``argv`` it is the program and sends stdout to the null device after an ``OSError``, and
-stderr after its ``error:`` line fails, so Python's exit-time flush cannot fail. Only
-``sweep`` and ``devices`` import :mod:`spime.perf`.
+``argv`` it is the program and, after its ``error:`` line, sends stdout and stderr to the
+null device, so Python's exit-time flush cannot fail. Only ``sweep`` and ``devices``
+import :mod:`spime.perf`.
 """
 
 import argparse
@@ -276,14 +276,13 @@ def main(argv=None) -> int:
         for new, target in staged.items():
             os.replace(new, target)
     except (VerifyError, ValueError, OSError) as exc:
-        failed = [1] if isinstance(exc, OSError) else []  # fds whose buffers may hold bytes
-        try:
+        with contextlib.suppress(OSError):  # stderr refuses writes too: the exit code alone tells
             print(f"error: {exc}", file=sys.stderr, flush=True)
-        except OSError:  # stderr refuses writes too: the exit code alone tells
-            failed.append(2)
         if argv is None:  # unwritten bytes stay buffered, and Python flushes them at exit
-            for fd in failed:
-                os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, 1)
+            os.dup2(null, 2)
+            os.close(null)
         return (EXIT_VERIFY if isinstance(exc, VerifyError)
                 else EXIT_USAGE if isinstance(exc, ValueError) else EXIT_IO)
     finally:  # a staged file still there was never renamed: the run failed or was interrupted

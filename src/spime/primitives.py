@@ -1,9 +1,10 @@
 """Pure AES-128 building blocks shared by the FSM simulator and test oracles.
 
 Everything here is combinational: total functions on bytes, 4x4 state
-matrices, and 128-bit blocks. The only stateful object is
-:class:`SubBytesPacket`, which models the packet-gated substitution
-module's single data latch.
+matrices, and 128-bit blocks. A :class:`RoundKey` carries its own int, so
+the module keeps no per-job state (only masks, memoised per register
+width). The only stateful object is :class:`SubBytesPacket`, which
+models the packet-gated substitution module's single data latch.
 
 The cipher is coded twice. :func:`block_round` is the simulator's
 datapath: it works on a register of one or more block-form states, one
@@ -34,7 +35,7 @@ Conventions:
 """
 
 from collections import namedtuple
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 BLOCK_BYTES = 16
 BLOCK_BITS = 8 * BLOCK_BYTES
@@ -198,21 +199,16 @@ def _masks(nbytes: int) -> _Masks:
                         for lane in _LANE_MASKS.values())
 
 
-# id -> (round key, its int) for at most NUM_ROUND_KEYS ``bytes`` round keys
-# block_round saw; holding the key keeps its id from passing to another object.
-_round_key_ints = {}
+class RoundKey(bytes):
+    """A round-key register from :func:`expand_keys`, equal to its plain ``bytes``.
 
+    A job's round-key registers serve every block, so each carries its
+    big-endian int, converted on first use.
+    """
 
-def _round_key_int(round_key) -> int:
-    """``round_key`` as a big-endian int; a ``bytes`` key is converted once while cached."""
-    if type(round_key) is not bytes:
-        return int.from_bytes(round_key, "big")
-    entry = _round_key_ints.get(id(round_key))
-    if entry is None:
-        if len(_round_key_ints) >= NUM_ROUND_KEYS:  # another job's keys
-            _round_key_ints.clear()
-        entry = _round_key_ints[id(round_key)] = (round_key, int.from_bytes(round_key, "big"))
-    return entry[1]
+    @cached_property
+    def value(self) -> int:
+        return int.from_bytes(self, "big")
 
 
 def block_round(register: bytes, round_key: bytes, final: bool = False) -> bytes:
@@ -225,8 +221,8 @@ def block_round(register: bytes, round_key: bytes, final: bool = False) -> bytes
     the big-endian int: with ``rot8``/``rot16`` rotating every column word
     left by one/two bytes, row r of a column becomes
     ``2(s_r ^ s_r+1) ^ s_r ^ (s_0 ^ s_1 ^ s_2 ^ s_3)`` (Daemen & Rijmen,
-    *The Design of Rijndael*, 2002, section 4.1). A job's round-key registers
-    serve every block, so each becomes an int once (:func:`_round_key_int`).
+    *The Design of Rijndael*, 2002, section 4.1). A :class:`RoundKey` brings
+    its int; any other bytes-like round key is converted on each call.
     """
     m = _masks(len(register))
     x = int.from_bytes(register.translate(SBOX), "big")
@@ -238,7 +234,8 @@ def block_round(register: bytes, round_key: bytes, final: bool = False) -> bytes
         half = x ^ ((x << 16) & m.hi16) ^ ((x >> 16) & m.lo16)  # x ^ rot16(x)
         column = half ^ ((half << 8) & m.hi24) ^ ((half >> 24) & m.lo8)  # XOR of the column
         x ^= ((pair & m.low7) << 1) ^ ((pair >> 7) & m.lsb) * 0x1B ^ column  # xtime(pair)
-    return (x ^ _round_key_int(round_key)).to_bytes(len(register), "big")
+    key = round_key.value if type(round_key) is RoundKey else int.from_bytes(round_key, "big")
+    return (x ^ key).to_bytes(len(register), "big")
 
 
 def xor_blocks(a: bytes, b: bytes) -> bytes:
@@ -253,7 +250,7 @@ def add_round_key(state: list, round_key: bytes) -> list:
 
 
 def expand_keys(keys: bytes) -> list:
-    """Expand cipher keys side by side into 11 round-key registers.
+    """Expand cipher keys side by side into 11 :class:`RoundKey` registers.
 
     ``keys`` is one 16-byte key per lane; lane u of round-key register i is
     round key i of key u. The word recurrence runs on all lanes at once:
@@ -265,7 +262,7 @@ def expand_keys(keys: bytes) -> list:
     n = len(keys)
     m = _masks(n)
     k = int.from_bytes(keys, "big")
-    schedule = [keys]
+    schedule = [RoundKey(keys)]
     for rcon in RCON:
         last = k & m.col3
         rotated = ((last << 8) | (last >> 24)) & m.col3
@@ -273,7 +270,7 @@ def expand_keys(keys: bytes) -> list:
         k ^= (k >> 32) & m.cols123
         k ^= (k >> 64) & m.cols23
         k ^= (sub ^ m.lane_lsb * (rcon << 24)) * _EACH_WORD
-        schedule.append(k.to_bytes(n, "big"))
+        schedule.append(RoundKey(k.to_bytes(n, "big")))
     return schedule
 
 

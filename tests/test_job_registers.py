@@ -211,6 +211,18 @@ def test_refusals_name_the_line_the_per_line_parser_named(tmp_path, capsys, line
                    lineno, message)
 
 
+@pytest.mark.parametrize("data", [b"", b"# nothing here\n\n", b"  \r\n# a\r\n"],
+                         ids=["empty", "comment-and-blank", "crlf"])
+def test_a_job_without_units_is_refused_without_a_line_number(tmp_path, capsys, data):
+    """The whole file is at fault, not a line: line numbers start at 1."""
+    code, out, captured = simulate(tmp_path, capsys, "empty", data)
+    assert code == EXIT_USAGE
+    assert out is None
+    assert captured.out == ""
+    assert captured.err == f"error: {tmp_path / 'empty.job'}: job file holds no units\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["empty.job"]
+
+
 # ---------------------------------------------------------------------------
 # keys are printed from the key register, not echoed from the job text
 # ---------------------------------------------------------------------------

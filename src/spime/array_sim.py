@@ -342,16 +342,20 @@ def parse_job_lines(lines, blocks_per_unit=None) -> SpimeJob:
     )
 
 
-def undecodable_line(path: str, exc: UnicodeDecodeError) -> tuple:
-    """(1-based line, description) of the first byte of ``path`` that is not UTF-8.
+def undecodable_line(fh, exc: UnicodeDecodeError) -> tuple:
+    """(1-based line or None, description) of the first byte of ``fh`` that is not UTF-8.
 
-    For a text file (a job file or the device catalog) whose decoding raised
-    ``exc``, which names only an offset into the decoder's chunk: the file is
-    read again as bytes, a leading byte-order mark skipped, and lines end at
-    ``\\n``, ``\\r\\n`` or ``\\r``. Re-raises ``exc`` if the file now decodes.
+    For an open text file (a job file or the device catalog) whose decoding raised ``exc``,
+    which names only an offset into the decoder's chunk: its bytes are read again through
+    ``fh.buffer`` from offset 0 (the path is never opened again), a leading byte-order mark
+    skipped, and lines end at ``\\n``, ``\\r\\n`` or ``\\r``. Re-raises ``exc`` if they now
+    decode. A handle that cannot seek (a pipe or FIFO, read only once) gets no line: the byte
+    and the reason come from ``exc``.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
+    if not fh.seekable():
+        return None, f"byte 0x{exc.object[exc.start]:02x} is not UTF-8 ({exc.reason})"
+    fh.buffer.seek(0)
+    data = fh.buffer.read()
     start = 3 if data.startswith(b"\xef\xbb\xbf") else 0
     try:
         data[start:].decode("utf-8")

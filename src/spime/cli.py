@@ -1,16 +1,15 @@
 """Command-line front end: encrypt blocks, run cycle-accurate array jobs,
 emit performance-sweep CSVs, and list the device catalog.
 
-Each command returns its outputs, ``(where, lines)`` pairs: ``where`` is a path, None
-for stdout, or a stream (``simulate``'s report, which is its last output). :func:`main`
-alone writes them, in order and each flushed before the next, every regular file to a
-new file beside it that is renamed onto it only once every write has succeeded (streams
-and devices in place), so a failed run changes no regular file. It alone maps errors to
-exit codes: 0 success, 2 ``ValueError`` (bad operand, job file, catalog or flag), 3
-``OSError``, 4 :class:`VerifyError`; any other exception is a bug and propagates. Without
-``argv`` it is the program and, after its ``error:`` line, sends stdout and stderr to the
-null device, so Python's exit-time flush cannot fail. Only ``sweep`` and ``devices``
-import :mod:`spime.perf`.
+Each command returns its outputs, ``(where, lines)`` pairs: ``where`` is a path, None for stdout,
+or a stream (``simulate``'s report, its last output). :func:`main` alone writes them, in order,
+each flushed before the next: a path naming the file stdout or stderr holds through that stream,
+other streams and devices in place, and each regular file to a new file beside it, renamed onto it
+once every write has succeeded, so a failed run changes no regular file. It alone maps errors to
+exit codes: 0 success, 2 ``ValueError`` (bad operand, job file, catalog or flag), 3 ``OSError``, 4
+:class:`VerifyError`; any other exception is a bug and propagates. Without ``argv`` it is the
+program and, after its ``error:`` line, sends stdout and stderr to the null device, so Python's
+exit-time flush cannot fail. Only ``sweep`` and ``devices`` import :mod:`spime.perf`.
 """
 
 import argparse
@@ -65,7 +64,7 @@ def _read_job(path, blocks_per_unit=None):
         try:
             return parse_job_lines(fh, blocks_per_unit)
         except UnicodeDecodeError as exc:
-            raise JobFormatError(*undecodable_line(path, exc)) from None
+            raise JobFormatError(*undecodable_line(fh, exc)) from None
 
 
 def _load_catalog(path=None):
@@ -75,37 +74,39 @@ def _load_catalog(path=None):
         return perf.load_device_catalog(path)
 
 
-def _file_identity(path):
-    """Device and inode of an existing file (so hard links match), else its resolved path."""
-    try:
-        st = os.stat(path)
-    except OSError:
-        return os.path.realpath(path)
-    return st.st_dev, st.st_ino
-
-
 def _refuse_shared_files(paths) -> None:
-    """Refuse, before any file is touched, two labels whose paths name one file."""
+    """Refuse, before any file is touched, two labels whose paths name one file: the same
+    inode and device (so hard links match) or, for a missing file, the same resolved path."""
     seen = {}
     for label, path in paths.items():
         if path is not None:
-            first = seen.setdefault(_file_identity(path), label)
-            if first != label:
+            try:
+                file = os.stat(path)[1:3]  # st_ino, st_dev
+            except OSError:
+                file = os.path.realpath(path)
+            if (first := seen.setdefault(file, label)) != label:
                 raise ValueError(f"{first} and {label} name the same file")
 
 
-def _open_output(path, staged):
-    """Open ``path`` in place if it ends in no name or is there but not a regular file (a device,
-    a pipe as ``/dev/fd/N``), else as a new file beside its target: ``staged[new] = target``."""
+def _open_output(where, staged):
+    """``where`` as a file context: None (stdout), a stream, or a path naming the file stdout or
+    stderr holds is that stream. A path ending in no name or naming a non-regular file is opened in
+    place, any other as a new file beside its target: ``staged[new] = target``."""
+    if not isinstance(where, str):
+        return contextlib.nullcontext(where or sys.stdout)
     try:
-        st = os.stat(path)
+        st = os.stat(where)
     except FileNotFoundError:
         st = None
-    if os.path.basename(path) in ("", ".", "..") or st is not None and not stat.S_ISREG(st.st_mode):
-        return open(path, "w", newline="")
-    if st is not None and not os.access(path, os.W_OK):
-        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
-    target, n = os.path.realpath(path), 0
+    for stream in (sys.stdout, sys.stderr) if st is not None else ():
+        with contextlib.suppress(OSError, ValueError):  # a stream with no descriptor is skipped
+            if os.path.samestat(st, os.fstat(stream.fileno())):
+                return contextlib.nullcontext(stream)
+    if os.path.basename(where) in ("", ".", "..") or st and not stat.S_ISREG(st.st_mode):
+        return open(where, "w", newline="")
+    if st is not None and not os.access(where, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), where)
+    target, n = os.path.realpath(where), 0
     # 32 characters of the name keep it short; the count steps past a killed run's file.
     head = os.path.join(os.path.dirname(target), f".{os.path.basename(target)[:32]}.{os.getpid()}")
     while os.path.lexists(new := f"{head}.{n}.tmp"):
@@ -113,7 +114,7 @@ def _open_output(path, staged):
     try:
         fd = os.open(new, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     except OSError as exc:
-        exc.filename = path  # name the user's path, never the new file's
+        exc.filename = where  # name the user's path, never the new file's
         raise
     staged[new] = target
     if st is not None:
@@ -268,8 +269,7 @@ def main(argv=None) -> int:
     try:
         outputs = args.func(args)
         with contextlib.ExitStack() as stack:
-            files = [stack.enter_context(_open_output(where, staged)) if isinstance(where, str)
-                     else where or sys.stdout for where, _ in outputs]
+            files = [stack.enter_context(_open_output(where, staged)) for where, _ in outputs]
             for fh, (_, lines) in zip(files, outputs):
                 _write_lines(fh, lines)
                 fh.flush()  # a write that fails must fail before the next output goes out

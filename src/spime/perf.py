@@ -307,7 +307,7 @@ def load_device_catalog(path: str = None) -> dict:
     line, a missing column, a non-integer or non-positive count, a count too
     large for a float (or whose per-unit cost is not finite), a repeated
     device name or a byte that is not UTF-8 (the line of the first such
-    byte). A leading UTF-8 byte-order mark is skipped.
+    byte, none for a pipe). A leading UTF-8 byte-order mark is skipped.
     """
     import csv
 
@@ -320,8 +320,8 @@ def load_device_catalog(path: str = None) -> dict:
         except csv.Error as exc:
             raise ValueError(f"{path} line {reader.reader.line_num}: {exc}") from None
         except UnicodeDecodeError as exc:
-            line, what = undecodable_line(path, exc)
-            raise ValueError(f"{path} line {line}: {what}") from None
+            line, what = undecodable_line(fh, exc)
+            raise ValueError(f"{path}{'' if line is None else f' line {line}'}: {what}") from None
     catalog = {}
     for line_num, row in rows:
         where = f"{path} line {line_num}"

@@ -32,17 +32,8 @@ from typing import NamedTuple
 
 from .aes_core import IDLE
 from .controller import C_IDLE, PimUnit, UNIT_CYCLES_PER_BLOCK
-from .primitives import (
-    BLOCK_BITS,
-    BLOCK_BYTES,
-    NUM_ROUND_KEYS,
-    ZERO_BLOCK,
-    block_from_hex,
-    check_block,
-    expand_keys,
-)
-
-_IDLE_INPUTS = (ZERO_BLOCK, [ZERO_BLOCK] * NUM_ROUND_KEYS)  # data_in, round_keys
+from .primitives import (BLOCK_BITS, BLOCK_BYTES, NUM_ROUND_KEYS, block_from_hex, check_block,
+                         expand_keys)
 
 TRACE_HEADER = ["unit", "cycle", "ctrl_state", "aes_start", "core_state", "round", "aes_done", "done"]
 
@@ -172,14 +163,15 @@ class SpimeArraySim:
         self.reset()
 
     def reset(self) -> None:
-        """Global reset: control to IDLE, registers, cycle counter and job cleared."""
+        """Global reset: control to IDLE, cycle count, trace and captures cleared, buses zeroed."""
         self._control.reset()
-        self._control.core.state_reg = bytes(BLOCK_BYTES * self.cfg.num_pims)
+        zero = self._control.core.state_reg = bytes(BLOCK_BYTES * self.cfg.num_pims)
         self._obs = self._observe()
         self.cycle = 0
         self._trace = []  # one control record per cycle: TRACE_HEADER minus "unit"
-        self._inputs = None  # per block index, the register of every unit's input
-        self._round_keys = None
+        # The staged buses: 16N bytes wide from reset on, as the job's registers are.
+        self._inputs = [zero]  # per block index, the register of every unit's input
+        self._round_keys = [zero] * NUM_ROUND_KEYS
         self._blocks = 0  # the job's blocks per unit, read once per job
         self._captured = []  # the controller's data_out at each done pulse
 
@@ -200,33 +192,37 @@ class SpimeArraySim:
                                core.done, ctrl.done, core.round)
 
     def load_job(self, job: SpimeJob) -> None:
-        """Check a job's shape against the config and stage its registers for ticking."""
+        """Check a job and expand its keys, then reset the array and stage the job's registers.
+
+        A refused job leaves the array as it was. Once loaded, the cycle
+        count, the trace and the captures cover this one job.
+        """
         cfg = self.cfg
         if (job.num_units, job.blocks_per_unit) != (cfg.num_pims, cfg.blocks_per_unit):
             raise ConfigError(
                 f"job holds {job.num_units} units x {job.blocks_per_unit} blocks "
                 f"for {cfg.num_pims} units x {cfg.blocks_per_unit} blocks"
             )
-        self._round_keys = expand_keys(job.key_register)
+        round_keys = expand_keys(job.key_register)
+        self.reset()
+        self._round_keys = round_keys
         self._inputs = job.input_registers
         self._blocks = job.blocks_per_unit
-        self._captured = []
 
     def job_complete(self) -> bool:
         """True once every block is captured and the control is idle again."""
-        return (self._inputs is not None and len(self._captured) >= self._blocks
+        return (len(self._captured) >= self._blocks
                 and self._obs[:5] == (C_IDLE, IDLE, False, False, False))
 
     def tick(self) -> list:
         """Advance the array exactly one global cycle; returns observations."""
-        # Start is sampled only in IDLE; a busy core works on the first uncaptured block.
+        # Start is sampled only in IDLE and stays high until the last block is captured.
+        # A busy core works on the first uncaptured block; with start low the buses hold
+        # the last block, which the idle core does not read. The buses are the same
+        # objects for a whole block, so the unit checks them once per block.
         captured = len(self._captured)
-        start = captured < self._blocks  # no job loaded: no blocks
-        # Start stays high until the last block is captured, so a core with
-        # start low is idle and reads no data. The buses are the same objects
-        # for a whole block, so the unit checks them once per block.
-        data_in, round_keys = (self._inputs[captured], self._round_keys) if start else _IDLE_INPUTS
-        self._control.tick(start, data_in, round_keys)
+        start = captured < self._blocks
+        self._control.tick(start, self._inputs[captured if start else -1], self._round_keys)
 
         self.cycle += 1
         self._obs = obs = self._observe()
@@ -265,17 +261,16 @@ class SpimeArraySim:
         return list(self.iter_trace_rows())
 
     def run_job(self, job: SpimeJob) -> SpimeResult:
-        """Run a staged job to completion and collect all ciphertexts."""
+        """Load a job (which resets the array), run it to completion and collect its ciphertexts."""
         self.load_job(job)
         budget = self._blocks * UNIT_CYCLES_PER_BLOCK + 64
-        start_cycle = self.cycle
         while not self.job_complete():
             self.tick()
-            if self.cycle - start_cycle > budget:
+            if self.cycle > budget:
                 raise RuntimeError("array failed to finish within the cycle budget")
         return SpimeResult(
             output_registers=list(self._captured),
-            total_cycles=self.cycle - start_cycle,
+            total_cycles=self.cycle,
             done_flags=[len(self._captured) == self._blocks] * self.cfg.num_pims,
         )
 

@@ -2,8 +2,9 @@
 
 :class:`~spime.controller.PimUnit` checks its core's input buses when they
 change, not on every cycle, and :func:`~spime.primitives.block_round`
-converts a ``bytes`` round key to an int once while it stays cached. Neither
-may narrow what the functions accept or skip a check on a changed bus.
+reads the int a :class:`~spime.primitives.RoundKey` carries and converts
+any other bytes-like round key on each call. Neither may narrow what the
+functions accept or skip a check on a changed bus.
 """
 
 import random
@@ -41,7 +42,7 @@ def test_a_job_builds_one_core_input_port_per_block(monkeypatch):
     result = array.run_job(SpimeJob(keys=keys, inputs=inputs))
 
     assert result.total_cycles == blocks * UNIT_CYCLES_PER_BLOCK  # 60 ticks
-    assert len(built) <= blocks + 2  # one per block, one for the idle buses, one at construction
+    assert len(built) <= blocks + 2  # one per block and one at construction
     assert result.outputs == [[reference_encrypt(key, block) for block in row]
                               for key, row in zip(keys, inputs)]
 
@@ -83,7 +84,7 @@ def test_a_round_key_changed_in_place_is_read_again():
     assert block_round(register, key) == block_round(register, second)
 
 
-def test_round_keys_survive_more_keys_than_the_cache_holds():
+def test_bytes_round_keys_match_their_bytearray_copies_whatever_their_count_or_address():
     rng = random.Random(0xCAC4E)
     register = rng.randbytes(32)
     keys = [rng.randbytes(32) for _ in range(3 * NUM_ROUND_KEYS)]

@@ -58,7 +58,7 @@ def datapath(state: str, rnd: int, state_reg: bytes, data_in: bytes, round_keys:
     for a lone core, N for the lockstep array's one ``PimUnit`` on N-lane
     buses. Only this function knows how each state updates the register.
     Each :class:`~spime.primitives.RoundKey` from ``expand_keys`` carries
-    its int, so a job's keys are converted once per job, not once per round.
+    the int the expansion computed, so no round converts a key from bytes.
     """
     if state == ROUND:
         return block_round(state_reg, round_keys[rnd + 1])

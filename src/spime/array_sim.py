@@ -192,7 +192,7 @@ class SpimeArraySim:
                                core.done, ctrl.done, core.round)
 
     def load_job(self, job: SpimeJob) -> None:
-        """Check a job and expand its keys, then reset the array and stage the job's registers.
+        """Check a job's shape and register widths and expand its keys, then reset and stage it.
 
         A refused job leaves the array as it was. Once loaded, the cycle
         count, the trace and the captures cover this one job.
@@ -203,6 +203,11 @@ class SpimeArraySim:
                 f"job holds {job.num_units} units x {job.blocks_per_unit} blocks "
                 f"for {cfg.num_pims} units x {cfg.blocks_per_unit} blocks"
             )
+        width = BLOCK_BYTES * cfg.num_pims
+        for b, register in enumerate(job.input_registers):
+            if len(register) != width:
+                raise ConfigError(f"job's block {b} register holds {len(register)} bytes, "
+                                  f"not {width} for {cfg.num_pims} units")
         round_keys = expand_keys(job.key_register)
         self.reset()
         self._round_keys = round_keys

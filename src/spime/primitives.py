@@ -1,18 +1,21 @@
 """Pure AES-128 building blocks shared by the FSM simulator and test oracles.
 
 Everything here is combinational: total functions on bytes, 4x4 state
-matrices, and 128-bit blocks. A :class:`RoundKey` carries its own int, so
-the module keeps no per-job state (only masks, memoised per register
-width). The only stateful object is :class:`SubBytesPacket`, which
-models the packet-gated substitution module's single data latch.
+matrices, and 128-bit blocks. A :class:`RoundKey` carries its own int,
+set by :func:`expand_keys`, so the module keeps no per-job state (only
+masks, memoised per register width). The only stateful object is
+:class:`SubBytesPacket`, which models the packet-gated substitution
+module's single data latch.
 
 The cipher is coded twice. :func:`block_round` is the simulator's
 datapath: it works on a register of one or more block-form states, one
 per 16-byte lane, as one big-endian int, so N units' states advance in
 one call (Kasper & Schwabe, CHES 2009, lay AES out the same way across
-the words of a machine register). :func:`expand_keys` expands N keys
-in one batch in the same layout. The list-of-lists transforms
-(:func:`sub_bytes`, :func:`shift_rows`, :func:`mix_columns`,
+the words of a machine register). Its ShiftRows is two masked rotations
+of whole column words, and its MixColumns takes the column XOR from
+``pair = x ^ rot8(x)`` as ``pair ^ rot16(pair)``. :func:`expand_keys`
+expands N keys in one batch in the same layout. The list-of-lists
+transforms (:func:`sub_bytes`, :func:`shift_rows`, :func:`mix_columns`,
 :func:`add_round_key`) compose into :func:`reference_encrypt`, the
 oracle the block round is checked against. Both share :data:`SBOX` and
 :func:`expand_key`.
@@ -170,25 +173,24 @@ def mix_columns(state: list) -> list:
 
 
 # The datapath's masks as one lane in hex, column words 0..3 from the left;
-# _masks repeats them over a register. Row r of ShiftRows rotates left by r
-# columns: its bytes in columns >= r move up r words (32r bits), the rest
-# down 4 - r words, and masking before the shift keeps every byte in its lane.
+# _masks repeats them over a register. A ShiftRows rotation by j columns
+# moves the bytes in columns >= j up j words (32j bits) and the rest down
+# 4 - j words; masking before the shift keeps every byte in its lane.
 _LANE_MASKS = dict(
     # MixColumns: byte fields of every column word
     hi24="ffffff00" * 4, lo8="000000ff" * 4, hi16="ffff0000" * 4, lo16="0000ffff" * 4,
     low7="7f7f7f7f" * 4, lsb="01010101" * 4,
-    # ShiftRows
-    row0="ff000000" * 4,
-    up1="00000000" + "00ff0000" * 3, down1="00ff0000" + "00000000" * 3,
-    up2="00000000" * 2 + "0000ff00" * 2, down2="0000ff00" * 2 + "00000000" * 2,
-    up3="00000000" * 3 + "000000ff", down3="000000ff" * 3 + "00000000",
-    # Key expansion: column 3, columns 1-3, columns 2-3, the lane's last byte
-    col3="00000000" * 3 + "ffffffff", cols123="00000000" + "ffffffff" * 3,
-    cols23="00000000" * 2 + "ffffffff" * 2, lane_lsb="00" * 15 + "01",
+    # ShiftRows: first rows 2-3 rotate by two columns, then rows 1 and 3 by one
+    rows01="ffff0000" * 4,
+    up2="00000000" * 2 + "0000ffff" * 2, down2="0000ffff" * 2 + "00000000" * 2,
+    rows02="ff00ff00" * 4,
+    up1="00000000" + "00ff00ff" * 3, down1="00ff00ff" + "00000000" * 3,
+    # Key expansion: column 3, column 0, columns 1-3, columns 2-3, the lane's first byte
+    col3="00000000" * 3 + "ffffffff", col0="ffffffff" + "00000000" * 3,
+    cols123="00000000" + "ffffffff" * 3, cols23="00000000" * 2 + "ffffffff" * 2,
+    lane_msb="01" + "00" * 15,
 )
 _Masks = namedtuple("_Masks", _LANE_MASKS)
-# Multiplying a lane's last column word by _EACH_WORD repeats it in all four.
-_EACH_WORD = 0x00000001_00000001_00000001_00000001
 
 
 @lru_cache(maxsize=8)
@@ -203,7 +205,8 @@ class RoundKey(bytes):
     """A round-key register from :func:`expand_keys`, equal to its plain ``bytes``.
 
     A job's round-key registers serve every block, so each carries its
-    big-endian int, converted on first use.
+    big-endian int as ``value``: :func:`expand_keys` sets the int it
+    computed, and a ``RoundKey`` made from bytes alone converts on first use.
     """
 
     @cached_property
@@ -211,36 +214,46 @@ class RoundKey(bytes):
         return int.from_bytes(self, "big")
 
 
+def _round_key(register: bytes, value: int) -> RoundKey:
+    key = RoundKey(register)
+    key.value = value
+    return key
+
+
 def block_round(register: bytes, round_key: bytes, final: bool = False) -> bytes:
     """One AES round on every lane of a register; the final round skips MixColumns.
 
     ``register`` and ``round_key`` hold one block-form state or round key
     per 16-byte lane, so a register of N lanes runs N blocks at once.
-    SubBytes is one ``translate``; ShiftRows moves each row's bytes by
-    whole words with lane masks. MixColumns mixes every column at once on
-    the big-endian int: with ``rot8``/``rot16`` rotating every column word
-    left by one/two bytes, row r of a column becomes
+    SubBytes is one ``translate``. ShiftRows is two masked rotations by
+    whole words: rows 2-3 by two columns, then rows 1 and 3 by one.
+    MixColumns mixes every column at once on the big-endian int: with
+    ``rot8``/``rot16`` rotating every column word left by one/two bytes,
+    ``pair = x ^ rot8(x)`` and the column XOR ``s_0 ^ s_1 ^ s_2 ^ s_3`` is
+    ``pair ^ rot16(pair)``, so row r of a column becomes
     ``2(s_r ^ s_r+1) ^ s_r ^ (s_0 ^ s_1 ^ s_2 ^ s_3)`` (Daemen & Rijmen,
     *The Design of Rijndael*, 2002, section 4.1). A :class:`RoundKey` brings
     its int; any other bytes-like round key is converted on each call.
     """
     m = _masks(len(register))
     x = int.from_bytes(register.translate(SBOX), "big")
-    x = ((x & m.row0) | ((x & m.up1) << 32) | ((x & m.down1) >> 96)
-         | ((x & m.up2) << 64) | ((x & m.down2) >> 64)
-         | ((x & m.up3) << 96) | ((x & m.down3) >> 32))
+    x = (x & m.rows01) | ((x & m.up2) << 64) | ((x & m.down2) >> 64)
+    x = (x & m.rows02) | ((x & m.up1) << 32) | ((x & m.down1) >> 96)
     if not final:
         pair = x ^ ((x << 8) & m.hi24) ^ ((x >> 24) & m.lo8)  # x ^ rot8(x)
-        half = x ^ ((x << 16) & m.hi16) ^ ((x >> 16) & m.lo16)  # x ^ rot16(x)
-        column = half ^ ((half << 8) & m.hi24) ^ ((half >> 24) & m.lo8)  # XOR of the column
+        column = pair ^ ((pair << 16) & m.hi16) ^ ((pair >> 16) & m.lo16)  # XOR of the column
         x ^= ((pair & m.low7) << 1) ^ ((pair >> 7) & m.lsb) * 0x1B ^ column  # xtime(pair)
     key = round_key.value if type(round_key) is RoundKey else int.from_bytes(round_key, "big")
     return (x ^ key).to_bytes(len(register), "big")
 
 
 def xor_blocks(a: bytes, b: bytes) -> bytes:
-    """AddRoundKey in block form: the bytewise XOR of two equally long registers."""
-    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
+    """AddRoundKey in block form: the bytewise XOR of two equally long registers.
+
+    A :class:`RoundKey` as ``b`` brings its int, as in :func:`block_round`.
+    """
+    key = b.value if type(b) is RoundKey else int.from_bytes(b, "big")
+    return (int.from_bytes(a, "big") ^ key).to_bytes(len(a), "big")
 
 
 def add_round_key(state: list, round_key: bytes) -> list:
@@ -254,23 +267,22 @@ def expand_keys(keys: bytes) -> list:
 
     ``keys`` is one 16-byte key per lane; lane u of round-key register i is
     round key i of key u. The word recurrence runs on all lanes at once:
-    each round XORs every column word with all the words before it in its
-    lane, then with RotWord, SubWord and the round constant of the lane's
-    last word.
+    each round XORs SubWord and RotWord of the lane's last word and the
+    round constant into its first word, then every column word with all
+    the words before it in its lane, which carries that term into all four.
+    SubWord reads the previous round key's bytes, which the schedule holds.
     """
     keys = check_register(keys)
     n = len(keys)
     m = _masks(n)
     k = int.from_bytes(keys, "big")
-    schedule = [RoundKey(keys)]
+    schedule = [_round_key(keys, k)]
     for rcon in RCON:
-        last = k & m.col3
-        rotated = ((last << 8) | (last >> 24)) & m.col3
-        sub = int.from_bytes(rotated.to_bytes(n, "big").translate(SBOX), "big") & m.col3
+        sub = int.from_bytes(schedule[-1].translate(SBOX), "big") & m.col3
+        k ^= (((sub << 104) | (sub << 72)) & m.col0) ^ m.lane_msb * rcon  # RotWord into column 0
         k ^= (k >> 32) & m.cols123
         k ^= (k >> 64) & m.cols23
-        k ^= (sub ^ m.lane_lsb * (rcon << 24)) * _EACH_WORD
-        schedule.append(RoundKey(k.to_bytes(n, "big")))
+        schedule.append(_round_key(k.to_bytes(n, "big"), k))
     return schedule
 
 

@@ -24,7 +24,10 @@ Job file format (one line per unit, '#' comments allowed):
 
     <key-hex32> <block-hex32>[,<block-hex32>...]
 
-Result files have the same shape with ciphertext blocks.
+Result files have the same shape with ciphertext blocks. A job written in
+that shape exactly (one space, commas, nothing else on a line) is read in
+one pass of whole-text checks and strided copies; any other spelling is
+checked line by line, with the same results, messages and line numbers.
 """
 
 import re
@@ -292,27 +295,67 @@ def build_array(cfg: SpimeConfig) -> SpimeArraySim:
 # One unit line in its usual form: ASCII blanks, 32-hex key, 32-hex blocks.
 _HEX32 = "[0-9a-fA-F]{32}"
 _JOB_LINE = re.compile(rf"[ \t]*({_HEX32})[ \t]+((?:{_HEX32},)*{_HEX32})[ \t]*\n?")
+_FIELD = 2 * BLOCK_BYTES + 1  # one block's hex text and the separator after it
+_LINE = re.compile(r"[^\n]*\n|[^\n]+")
+
+
+def _canonical_units(text, blocks):
+    """Each unit's key and blocks as bytes, if every line of ``text`` is canonical, else None.
+
+    A canonical line is ``<key-hex32> <block-hex32>[,<block-hex32>...]\\n`` (the last may
+    lack its ``\\n``), so every 33rd char is a separator: one strided slice checks them all,
+    and one ``bytes.fromhex`` (it skips whitespace and refuses any other non-hex) the rest.
+    """
+    text += "" if text.endswith("\n") else "\n"
+    units, extra = divmod(len(text), _FIELD * (blocks + 1))
+    if extra or text[_FIELD - 1::_FIELD] != (" " + "," * (blocks - 1) + "\n") * units:
+        return None
+    try:
+        data = bytes.fromhex(text.replace(",", " "))
+    except ValueError:
+        return None
+    return data if len(data) == BLOCK_BYTES * units * (blocks + 1) else None
+
+
+def _job_from_units(data, blocks):
+    """A job from each unit's key and blocks, gathered as two strided word copies per register."""
+    words, stride = memoryview(data).cast("Q"), 2 * (blocks + 1)
+    registers = []
+    for first in range(0, stride, 2):
+        register = bytearray(len(data) // (blocks + 1))
+        view = memoryview(register).cast("Q")
+        view[0::2], view[1::2] = words[first::stride], words[first + 1::stride]
+        registers.append(bytes(register))
+    return SpimeJob.from_registers(registers[0], registers[1:])
 
 
 def parse_job_lines(lines, blocks_per_unit=None) -> SpimeJob:
-    """Parse job-file lines into registers; raises JobFormatError with a line number.
+    """Parse a job file or list of lines into registers; raises JobFormatError with a line number.
 
     Every unit must hold ``blocks_per_unit`` blocks (default: as many as the first).
-    A line of the usual form with the expected block count only has its hex
-    text collected; any other line (comments, blank lines, other separators,
-    errors, and the first unit when the count is not given) is checked on its
-    own. One ``bytes.fromhex`` then builds the key register and one each
-    block index's input register.
+    The text is read once. Once the block count is known (before line 1 when given,
+    else after the first unit line), the rest is read in one pass if it is canonical,
+    as ``format_result_lines`` writes it. Otherwise each line goes on to be checked:
+    a usual-form line with the expected block count only has its hex text collected,
+    and any other line (comments, blank lines, other separators, errors) is checked
+    on its own. The registers are gathered from the units' bytes.
     """
-    key_hex, block_hex = [], []  # per unit: key text, comma-separated block text
+    text = lines.read() if hasattr(lines, "read") else "".join(
+        line if line.endswith("\n") else line + "\n" for line in lines)
+    hex_text, data = [], b""  # the lines read one by one; the canonical rest
     expected_blocks = blocks_per_unit
+    one_pass = expected_blocks is not None  # the one-pass read is still to try
     usual_line = _JOB_LINE.fullmatch
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, line in enumerate(_LINE.finditer(text), start=1):
+        if one_pass:
+            one_pass, data = False, _canonical_units(text[line.start():], expected_blocks) or b""
+            if data:
+                break
+        raw = line[0]
         match = usual_line(raw)
         # B blocks take 32 hex chars each plus B - 1 commas.
-        if match and (len(match[2]) + 1) // (2 * BLOCK_BYTES + 1) == expected_blocks:
-            key_hex.append(match[1])
-            block_hex.append(match[2])
+        if match and (len(match[2]) + 1) // _FIELD == expected_blocks:
+            hex_text += match[1], match[2]
             continue
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
@@ -326,20 +369,16 @@ def parse_job_lines(lines, blocks_per_unit=None) -> SpimeJob:
         except ValueError as exc:
             raise JobFormatError(lineno, str(exc)) from None
         if expected_blocks is None:
-            expected_blocks = len(blocks)
+            expected_blocks, one_pass = len(blocks), True
         elif len(blocks) != expected_blocks:
             raise JobFormatError(
                 lineno, f"expected {expected_blocks} blocks per unit, got {len(blocks)}"
             )
-        key_hex.append(parts[0])
-        block_hex.append(parts[1])
-    if not key_hex:
+        hex_text += parts
+    if not hex_text and not data:
         raise JobFormatError(None, "job file holds no units")
-    unit_major = ",".join(block_hex).split(",")
-    return SpimeJob.from_registers(
-        bytes.fromhex("".join(key_hex)),
-        [bytes.fromhex("".join(unit_major[b::expected_blocks])) for b in range(expected_blocks)],
-    )
+    return _job_from_units(bytes.fromhex(" ".join(hex_text).replace(",", " ")) + data,
+                           expected_blocks)
 
 
 def undecodable_line(fh, exc: UnicodeDecodeError) -> tuple:

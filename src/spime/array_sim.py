@@ -297,21 +297,27 @@ _HEX32 = "[0-9a-fA-F]{32}"
 _JOB_LINE = re.compile(rf"[ \t]*({_HEX32})[ \t]+((?:{_HEX32},)*{_HEX32})[ \t]*\n?")
 _FIELD = 2 * BLOCK_BYTES + 1  # one block's hex text and the separator after it
 _LINE = re.compile(r"[^\n]*\n|[^\n]+")
+_DECODE_CHARS = 1 << 16  # about how much job text one bytes.fromhex call decodes
 
 
-def _canonical_units(text, blocks):
-    """Each unit's key and blocks as bytes, if every line of ``text`` is canonical, else None.
+def _canonical_units(text, start, blocks):
+    """Each unit's key and blocks, if every line of ``text[start:]`` is canonical, else None.
 
     A canonical line is ``<key-hex32> <block-hex32>[,<block-hex32>...]\\n`` (the last may
     lack its ``\\n``), so every 33rd char is a separator: one strided slice checks them all,
-    and one ``bytes.fromhex`` (it skips whitespace and refuses any other non-hex) the rest.
+    and ``bytes.fromhex`` (it skips whitespace and refuses any other non-hex) the rest, over
+    slices of whole lines so that no copy of the whole text is made.
     """
-    text += "" if text.endswith("\n") else "\n"
-    units, extra = divmod(len(text), _FIELD * (blocks + 1))
-    if extra or text[_FIELD - 1::_FIELD] != (" " + "," * (blocks - 1) + "\n") * units:
+    line = _FIELD * (blocks + 1)
+    final_newline = "" if text.endswith("\n") else "\n"
+    units, extra = divmod(len(text) - start + len(final_newline), line)
+    separators = text[start + _FIELD - 1::_FIELD] + final_newline
+    if extra or separators != (" " + "," * (blocks - 1) + "\n") * units:
         return None
+    data, step = bytearray(), line * max(1, _DECODE_CHARS // line)
     try:
-        data = bytes.fromhex(text.replace(",", " "))
+        for i in range(start, len(text), step):
+            data += bytes.fromhex(text[i:i + step].replace(",", " "))
     except ValueError:
         return None
     return data if len(data) == BLOCK_BYTES * units * (blocks + 1) else None
@@ -348,7 +354,7 @@ def parse_job_lines(lines, blocks_per_unit=None) -> SpimeJob:
     usual_line = _JOB_LINE.fullmatch
     for lineno, line in enumerate(_LINE.finditer(text), start=1):
         if one_pass:
-            one_pass, data = False, _canonical_units(text[line.start():], expected_blocks) or b""
+            one_pass, data = False, _canonical_units(text, line.start(), expected_blocks) or b""
             if data:
                 break
         raw = line[0]
@@ -377,8 +383,11 @@ def parse_job_lines(lines, blocks_per_unit=None) -> SpimeJob:
         hex_text += parts
     if not hex_text and not data:
         raise JobFormatError(None, "job file holds no units")
-    return _job_from_units(bytes.fromhex(" ".join(hex_text).replace(",", " ")) + data,
-                           expected_blocks)
+    units = bytes.fromhex(" ".join(hex_text).replace(",", " "))
+    if data:
+        data[:0] = units  # in place: the canonical rest is not copied again
+        units = data
+    return _job_from_units(units, expected_blocks)
 
 
 def undecodable_line(fh, exc: UnicodeDecodeError) -> tuple:

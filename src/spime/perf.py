@@ -28,6 +28,9 @@ the unit count, and throughput on everything but the device. So
 per (device, unit count), each from :func:`evaluate` at one point of the
 grid, and renders throughput once per (unit count, clock, block size),
 shared by every device; each (device, unit count)'s rows are one string.
+Each rounded value is printed by one fixed-point conversion (``"%.4f"`` with
+its trailing zeros stripped, below 1e11), with the same bytes as
+``repr(round(x, 4))``, which the flat path's csv.writer writes.
 :func:`evaluate` is the one owner of the model's refusal rules: every point
 the renderer asks it about is a row of the grid, and a refusal is raised
 again by the flat path, with the same message and query index.
@@ -235,6 +238,20 @@ def _csv_field(text: str) -> str:
     return buf.getvalue()[:-2]
 
 
+def _decimal4(x: float) -> str:
+    """``repr(round(x, 4))``, by one fixed-point conversion where that gives the same text.
+
+    ``"%.4f"`` and ``round`` pick the same correctly rounded decimal, which below 1e11
+    has at most 15 significant digits and so is the shortest text of the rounded float:
+    its ``repr``, once trailing zeros are gone (``"0.0"`` or ``"-0.0"`` when it rounds
+    to zero). Larger values, nan and the infinities take ``repr(round(x, 4))`` itself.
+    """
+    if -1e11 < x < 1e11:
+        text = ("%.4f" % x).rstrip("0")
+        return text + "0" if text[-1] == "." else text
+    return repr(round(x, 4))
+
+
 def _grid_lines(grid: "SweepGrid", interpretation: str) -> list:
     """The strings of :func:`sweep_csv_lines`; raises on any point the model refuses."""
     lines = [",".join(CSV_HEADER)]
@@ -248,12 +265,12 @@ def _grid_lines(grid: "SweepGrid", interpretation: str) -> list:
         d0, n0, f0, b0 = devices[0], num_pims[0], fmax_mhz[0], block_bits[0]
         for b in block_bits:
             evaluate(PerfQuery(n0, f0, b, cycles), d0, interpretation)
-        clock_cells = []  # ("fmax,bits,latency,", bits, latency) per (clock, block size)
+        clock_cells = []  # (",fmax,bits,latency,", bits, latency) per (clock, block size)
         for f in fmax_mhz:
             lat = evaluate(PerfQuery(n0, f, b0, cycles), d0, interpretation).latency_us
-            lat_text = round(lat, 4)
-            clock_cells.extend((f"{f},{b},{lat_text},", b, lat) for b in block_bits)
-        # Throughput reads no device: "n,fmax,bits,latency,throughput" per unit count,
+            lat_text = _decimal4(lat)
+            clock_cells.extend((f",{f},{b},{lat_text},", b, lat) for b in block_bits)
+        # Throughput reads no device: ",fmax,bits,latency,throughput" per unit count,
         # one text per (clock, block size), shared by every device's rows.
         unit_cells = []
         for n in num_pims:
@@ -262,13 +279,14 @@ def _grid_lines(grid: "SweepGrid", interpretation: str) -> list:
                 thr = _throughput(interpretation, n, b, lat)
                 if not isfinite(thr):
                     raise ValueError(f"throughput {thr} is outside the model's range")
-                cells.append(f"{n},{cell}{round(thr, 4)}")
+                cells.append(cell + _decimal4(thr))
             unit_cells.append(cells)
         for device in devices:
-            head = _csv_field(device.name) + ","
+            name = _csv_field(device.name) + ","
             for n, cells in zip(num_pims, unit_cells):
                 res = evaluate(PerfQuery(n, f0, b0, cycles), device, interpretation)
-                tail = f",{round(res.lut_util_pct, 4)},{round(res.ff_util_pct, 4)}"
+                head = f"{name}{n}"
+                tail = f",{_decimal4(res.lut_util_pct)},{_decimal4(res.ff_util_pct)}"
                 lines.append(head + (tail + "\n" + head).join(cells) + tail)
     return lines
 
@@ -280,6 +298,8 @@ def sweep_csv_lines(grid: "SweepGrid", interpretation: str = AGGREGATE) -> list:
     by ``\\n``, with no final newline, so ``"".join(s + "\\n" for s in ...)`` is
     the CSV: the bytes csv.writer writes for CSV_HEADER and
     :func:`sweep_csv_rows`, evaluated per axis (see the module docstring).
+    Each rounded value is printed by one fixed-point conversion, with the
+    same bytes as ``repr(round(x, 4))``.
     When any point is refused, the grid is evaluated again through
     :func:`sweep`, which raises the one-point path's error.
     """

@@ -24,10 +24,9 @@ Job file format (one line per unit, '#' comments allowed):
 
     <key-hex32> <block-hex32>[,<block-hex32>...]
 
-Result files have the same shape with ciphertext blocks. A job written in
-that shape exactly (one space, commas, nothing else on a line) is read in
-one pass of whole-text checks and strided copies; any other spelling is
-checked line by line, with the same results, messages and line numbers.
+Result files have the same shape with ciphertext blocks. One check reads that
+shape: over the rest of a job at once, or over a line's two fields joined by one
+space. The line that sets the block count, and any it refuses, go field by field.
 """
 
 import re
@@ -292,9 +291,6 @@ def build_array(cfg: SpimeConfig) -> SpimeArraySim:
 # Job / result file round-trip
 # ---------------------------------------------------------------------------
 
-# One unit line in its usual form: ASCII blanks, 32-hex key, 32-hex blocks.
-_HEX32 = "[0-9a-fA-F]{32}"
-_JOB_LINE = re.compile(rf"[ \t]*({_HEX32})[ \t]+((?:{_HEX32},)*{_HEX32})[ \t]*\n?")
 _FIELD = 2 * BLOCK_BYTES + 1  # one block's hex text and the separator after it
 _LINE = re.compile(r"[^\n]*\n|[^\n]+")
 _DECODE_CHARS = 1 << 16  # about how much job text one bytes.fromhex call decodes
@@ -306,7 +302,8 @@ def _canonical_units(text, start, blocks):
     A canonical line is ``<key-hex32> <block-hex32>[,<block-hex32>...]\\n`` (the last may
     lack its ``\\n``), so every 33rd char is a separator: one strided slice checks them all,
     and ``bytes.fromhex`` (it skips whitespace and refuses any other non-hex) the rest, over
-    slices of whole lines so that no copy of the whole text is made.
+    slices of whole lines so that no copy of the whole text is made. Two whitespace-free
+    fields joined by one space pass exactly when ``block_from_hex`` takes every field.
     """
     line = _FIELD * (blocks + 1)
     final_newline = "" if text.endswith("\n") else "\n"
@@ -339,38 +336,35 @@ def parse_job_lines(lines, blocks_per_unit=None) -> SpimeJob:
     """Parse a job file or list of lines into registers; raises JobFormatError with a line number.
 
     Every unit must hold ``blocks_per_unit`` blocks (default: as many as the first).
-    The text is read once. Once the block count is known (before line 1 when given,
-    else after the first unit line), the rest is read in one pass if it is canonical,
-    as ``format_result_lines`` writes it. Otherwise each line goes on to be checked:
-    a usual-form line with the expected block count only has its hex text collected,
-    and any other line (comments, blank lines, other separators, errors) is checked
-    on its own. The registers are gathered from the units' bytes.
+    The text is read once, into one buffer of the units' bytes in file order. Once the
+    block count is known (before line 1 when given, else after the first unit line), a
+    canonical rest is read in one pass, and any other unit line by :func:`_canonical_units`
+    on its two fields joined by one space. A line it refuses, or the one that sets the
+    block count, is checked field by field, which gives every message and line number.
     """
     text = lines.read() if hasattr(lines, "read") else "".join(
         line if line.endswith("\n") else line + "\n" for line in lines)
-    hex_text, data = [], b""  # the lines read one by one; the canonical rest
+    data = bytearray()  # each unit's key and blocks, in file order
     expected_blocks = blocks_per_unit
     one_pass = expected_blocks is not None  # the one-pass read is still to try
-    usual_line = _JOB_LINE.fullmatch
     for lineno, line in enumerate(_LINE.finditer(text), start=1):
         if one_pass:
-            one_pass, data = False, _canonical_units(text, line.start(), expected_blocks) or b""
-            if data:
+            one_pass, rest = False, _canonical_units(text, line.start(), expected_blocks)
+            if rest:
+                rest[:0] = data  # at most one unit: the canonical rest is not copied
+                data = rest
                 break
-        raw = line[0]
-        match = usual_line(raw)
-        # B blocks take 32 hex chars each plus B - 1 commas.
-        if match and (len(match[2]) + 1) // _FIELD == expected_blocks:
-            hex_text += match[1], match[2]
+        parts = line[0].split()
+        if not parts or parts[0].startswith("#"):
             continue
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        parts = stripped.split()
         if len(parts) != 2:
             raise JobFormatError(lineno, "expected '<key-hex> <block-hex>[,<block-hex>...]'")
+        unit = expected_blocks and _canonical_units(" ".join(parts), 0, expected_blocks)
+        if unit:
+            data += unit
+            continue
         try:
-            block_from_hex(parts[0])
+            data += block_from_hex(parts[0])
             blocks = [block_from_hex(tok) for tok in parts[1].split(",")]
         except ValueError as exc:
             raise JobFormatError(lineno, str(exc)) from None
@@ -380,14 +374,10 @@ def parse_job_lines(lines, blocks_per_unit=None) -> SpimeJob:
             raise JobFormatError(
                 lineno, f"expected {expected_blocks} blocks per unit, got {len(blocks)}"
             )
-        hex_text += parts
-    if not hex_text and not data:
+        data += b"".join(blocks)
+    if not data:
         raise JobFormatError(None, "job file holds no units")
-    units = bytes.fromhex(" ".join(hex_text).replace(",", " "))
-    if data:
-        data[:0] = units  # in place: the canonical rest is not copied again
-        units = data
-    return _job_from_units(units, expected_blocks)
+    return _job_from_units(data, expected_blocks)
 
 
 def undecodable_line(fh, exc: UnicodeDecodeError) -> tuple:

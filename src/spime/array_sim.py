@@ -12,10 +12,12 @@ register are 16N bytes wide, unit u at bytes 16u..16u+15, so one core
 step advances every unit's state. The N keys are expanded in one
 :func:`~spime.primitives.expand_keys` call into 11 round-key registers
 of the same layout. A :class:`SpimeJob` holds the job in this layout
-from the parsed file on, and the result file is formatted from the
-captured ``data_out`` registers. A per-unit :class:`PimUnit` stays the
-reference model: an N-unit run matches N independent unit runs cycle
-for cycle.
+from the parsed file on. The result file is formatted from the key
+register and the captured ``data_out`` registers: scattered into each
+unit's key and blocks in file order, then hex-encoded one run of whole
+lines (about 64 KiB of text) at a time, with every separator written by
+one strided slice. A per-unit :class:`PimUnit` stays the reference
+model: an N-unit run matches N independent unit runs cycle for cycle.
 With tracing on, the array records the shared control signals once per
 cycle and renders each as one string of N CSV rows, the record behind
 each unit number, only when read, so trace memory does not grow with N.
@@ -405,16 +407,28 @@ def undecodable_line(fh, exc: UnicodeDecodeError) -> tuple:
     raise exc
 
 
-def _hex_lanes(register: bytes) -> list:
-    """A register's lanes as 32-char lowercase hex, unit 0 first."""
-    return register.hex(" ", BLOCK_BYTES).split(" ")
+def format_result_lines(job: SpimeJob, result: SpimeResult):
+    """Yield a result in the job-file shape (key + ciphertext blocks), whole lines at a time.
 
-
-def format_result_lines(job: SpimeJob, result: SpimeResult) -> list:
-    """Render a result in the job-file shape (key + ciphertext blocks).
-
-    Each register is hex-encoded once and cut into lanes. Keys come from the
-    key register, so they print in lowercase whatever case the job file used.
+    The registers are scattered into each unit's key and blocks in file order, two strided
+    word copies each (the inverse of :func:`_job_from_units`). Each run of whole lines
+    holding about ``_DECODE_CHARS`` of text is then one ``hex`` pass, a space after every
+    block, and one strided slice of separators: a space after the key, a comma between
+    blocks, a newline ending each line. A run is one string with no final newline, as in
+    :meth:`SpimeArraySim.iter_trace_lines`. Keys print in lowercase whatever case the job
+    file used.
     """
-    blocks = map(",".join, zip(*map(_hex_lanes, result.output_registers)))
-    return list(map(" ".join, zip(_hex_lanes(job.key_register), blocks)))
+    registers = [job.key_register, *result.output_registers]
+    fields = len(registers)  # a unit's key and blocks
+    data = bytearray(len(job.key_register) * fields)
+    words, stride = memoryview(data).cast("Q"), 2 * fields
+    for first, register in zip(range(0, stride, 2), registers):
+        view = memoryview(register).cast("Q")
+        words[first::stride], words[first + 1::stride] = view[0::2], view[1::2]
+    units = max(1, _DECODE_CHARS // (_FIELD * fields))  # whole unit lines per string
+    separators = (b" " + b"," * (fields - 2) + b"\n") * units
+    step = BLOCK_BYTES * fields * units
+    for i in range(0, len(data), step):
+        text = bytearray(data[i:i + step].hex(" ", BLOCK_BYTES), "ascii")
+        text[_FIELD - 1::_FIELD] = separators[:len(text) // _FIELD]
+        yield text.decode("ascii")

@@ -14,11 +14,12 @@ one call (Kasper & Schwabe, CHES 2009, lay AES out the same way across
 the words of a machine register). Its ShiftRows is two masked rotations
 of whole column words, and its MixColumns takes the column XOR from
 ``pair = x ^ rot8(x)`` as ``pair ^ rot16(pair)``. :func:`expand_keys`
-expands N keys in one batch in the same layout. The list-of-lists
-transforms (:func:`sub_bytes`, :func:`shift_rows`, :func:`mix_columns`,
-:func:`add_round_key`) compose into :func:`reference_encrypt`, the
-oracle the block round is checked against. Both share :data:`SBOX` and
-:func:`expand_key`.
+expands N keys in one batch in the same layout, each round's SubWord
+taken from four strided byte slices of the last round key. The
+list-of-lists transforms (:func:`sub_bytes`, :func:`shift_rows`,
+:func:`mix_columns`, :func:`add_round_key`) compose into
+:func:`reference_encrypt`, the oracle the block round is checked
+against. Both share :data:`SBOX` and :func:`expand_key`.
 
 Conventions:
   * A 128-bit block is ``bytes`` of length 16 (hex form: 32 lowercase chars,
@@ -185,8 +186,7 @@ _LANE_MASKS = dict(
     up2="00000000" * 2 + "0000ffff" * 2, down2="0000ffff" * 2 + "00000000" * 2,
     rows02="ff00ff00" * 4,
     up1="00000000" + "00ff00ff" * 3, down1="00ff00ff" + "00000000" * 3,
-    # Key expansion: column 3, column 0, columns 1-3, columns 2-3, the lane's first byte
-    col3="00000000" * 3 + "ffffffff", col0="ffffffff" + "00000000" * 3,
+    # Key expansion: columns 1-3, columns 2-3, the lane's first byte
     cols123="00000000" + "ffffffff" * 3, cols23="00000000" * 2 + "ffffffff" * 2,
     lane_msb="01" + "00" * 15,
 )
@@ -270,16 +270,24 @@ def expand_keys(keys: bytes) -> list:
     each round XORs SubWord and RotWord of the lane's last word and the
     round constant into its first word, then every column word with all
     the words before it in its lane, which carries that term into all four.
-    SubWord reads the previous round key's bytes, which the schedule holds.
+    Each round's RotWord(SubWord(w3)) term comes from the previous round
+    key, which the schedule holds: four strided slices of it, bytes 13, 14,
+    15 and 12 of every lane, each go through the S-box by one ``translate``
+    into bytes 0-3 of their lane in a ``bytearray`` that is zero elsewhere.
     """
     keys = check_register(keys)
     n = len(keys)
     m = _masks(n)
     k = int.from_bytes(keys, "big")
     schedule = [_round_key(keys, k)]
+    term = bytearray(n)  # RotWord(SubWord(w3)) in column 0 of every lane
     for rcon in RCON:
-        sub = int.from_bytes(schedule[-1].translate(SBOX), "big") & m.col3
-        k ^= (((sub << 104) | (sub << 72)) & m.col0) ^ m.lane_msb * rcon  # RotWord into column 0
+        last = schedule[-1]
+        term[0::16] = last[13::16].translate(SBOX)
+        term[1::16] = last[14::16].translate(SBOX)
+        term[2::16] = last[15::16].translate(SBOX)
+        term[3::16] = last[12::16].translate(SBOX)
+        k ^= int.from_bytes(term, "big") ^ m.lane_msb * rcon
         k ^= (k >> 32) & m.cols123
         k ^= (k >> 64) & m.cols23
         schedule.append(_round_key(k.to_bytes(n, "big"), k))

@@ -26,8 +26,9 @@ only on the clock (and the cycle count), utilization only on the device and
 the unit count, and throughput on everything but the device. So
 :func:`sweep_csv_lines` takes latency once per clock and utilization once
 per (device, unit count), each from :func:`evaluate` at one point of the
-grid, and renders throughput once per (unit count, clock, block size),
-shared by every device; each (device, unit count)'s rows are one string.
+grid, and computes throughput once per (unit count, clock, block size),
+shared by every device, and prints it once per distinct value; each
+(device, unit count)'s rows are one string.
 Each rounded value is printed by one fixed-point conversion (``"%.4f"`` with
 its trailing zeros stripped, below 1e11), with the same bytes as
 ``repr(round(x, 4))``, which the flat path's csv.writer writes.
@@ -176,12 +177,15 @@ def utilization_pct(device: DeviceSpec, num_pims: int, resource: str) -> float:
 
 
 def _throughput(interpretation: str, num_pims: int, block_bits: int, lat: float) -> float:
-    """Headline throughput of one point under ``interpretation``, from its latency."""
+    """Headline throughput of one point under ``interpretation``, from its latency.
+
+    The float operations of :func:`throughput_gbps`, in its order, without its checks,
+    which a :class:`PerfQuery`'s positive operands always pass; never ``-0.0``.
+    """
     if interpretation == AGGREGATE:
-        batch_latency = (block_bits / BLOCK_BITS) * lat
-        return throughput_gbps(num_pims * block_bits, batch_latency)
+        return num_pims * block_bits / ((block_bits / BLOCK_BITS) * lat) / 1e6
     if interpretation == PER_UNIT:
-        return throughput_gbps(block_bits, lat)
+        return block_bits / lat / 1e6
     raise ValueError(f"unknown interpretation {interpretation!r}")
 
 
@@ -253,10 +257,14 @@ def _decimal4(x: float) -> str:
 
 
 def _grid_lines(grid: "SweepGrid", interpretation: str) -> list:
-    """The strings of :func:`sweep_csv_lines`; raises on any point the model refuses."""
+    """The strings of :func:`sweep_csv_lines`; raises on any point the model refuses.
+
+    Each distinct throughput is checked and printed once: equal floats print the same,
+    as :func:`_throughput` never gives ``-0.0``, and no value that is not finite is kept.
+    """
     lines = [",".join(CSV_HEADER)]
     cycles = grid.cycles_per_task
-    isfinite = math.isfinite
+    texts = {}  # throughput -> its cell text
     for devices, num_pims, fmax_mhz, block_bits in grid.parts:
         if not (devices and num_pims and fmax_mhz and block_bits):
             continue
@@ -277,9 +285,12 @@ def _grid_lines(grid: "SweepGrid", interpretation: str) -> list:
             cells = []
             for cell, b, lat in clock_cells:
                 thr = _throughput(interpretation, n, b, lat)
-                if not isfinite(thr):
-                    raise ValueError(f"throughput {thr} is outside the model's range")
-                cells.append(cell + _decimal4(thr))
+                text = texts.get(thr)
+                if text is None:
+                    if not math.isfinite(thr):
+                        raise ValueError(f"throughput {thr} is outside the model's range")
+                    text = texts[thr] = _decimal4(thr)
+                cells.append(cell + text)
             unit_cells.append(cells)
         for device in devices:
             name = _csv_field(device.name) + ","
@@ -299,7 +310,7 @@ def sweep_csv_lines(grid: "SweepGrid", interpretation: str = AGGREGATE) -> list:
     the CSV: the bytes csv.writer writes for CSV_HEADER and
     :func:`sweep_csv_rows`, evaluated per axis (see the module docstring).
     Each rounded value is printed by one fixed-point conversion, with the
-    same bytes as ``repr(round(x, 4))``.
+    same bytes as ``repr(round(x, 4))``, and each distinct throughput once.
     When any point is refused, the grid is evaluated again through
     :func:`sweep`, which raises the one-point path's error.
     """

@@ -10,14 +10,17 @@ exit codes: 0 success, 2 ``ValueError`` (bad operand, job file, catalog or flag)
 :class:`VerifyError`; any other exception is a bug and propagates. Without ``argv`` it is the
 program and, after its ``error:`` line, sends stdout and stderr to the null device, so Python's
 exit-time flush cannot fail. Only ``sweep`` and ``devices`` import :mod:`spime.perf`.
+
+:func:`main` reads a plain command line by the one declaration of each command's arguments; help,
+usage errors and any other spelling go to argparse, which only :func:`build_parser` imports.
 """
 
-import argparse
 import contextlib
 import errno
 import os
 import stat
 import sys
+from types import SimpleNamespace
 
 from . import CATALOG_ENV_VAR
 from .aes_core import CORE_CYCLES_PER_BLOCK
@@ -215,56 +218,109 @@ def cmd_devices(_args) -> list:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# command line
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+def _commands():
+    """Each command as ``(name, help, func, ((flag, add_argument keywords), ...))``, for
+    :func:`build_parser` and :func:`_plain_args`; built per call, so ``func`` is the current one."""
+    return (
+        ("encrypt", "encrypt 128-bit blocks through the lockstep array", cmd_encrypt, (
+            ("key", dict(nargs="?", help="128-bit key as 32 hex chars")),
+            ("plaintext", dict(nargs="?", help="128-bit plaintext as 32 hex chars")),
+            ("--input", dict(help="file of '<key-hex> <plaintext-hex>' lines")),
+            ("--output", dict(help="write ciphertext hex lines to this file")),
+            ("--verify", dict(action="store_true", help="cross-check the array's result "
+                              "against the composition oracle")),
+        )),
+        ("simulate", "run a job file through the lockstep array", cmd_simulate, (
+            ("--job", dict(required=True, help="job file: '<key-hex> <block>[,<block>...]'")),
+            ("--num-pims", dict(type=int, help="expected unit count (defaults to job size)")),
+            ("--output", dict(help="write the result file here instead of stdout")),
+            ("--trace", dict(help="write the per-cycle trace CSV here")),
+        )),
+        ("sweep", "emit performance-model CSV over a parameter grid", cmd_sweep, (
+            ("--figure", dict(type=int, choices=[3, 4, 5, 6, 7],
+                              help="emit a published figure's exact data grid (no grid flags)")),
+            ("--num-pims", dict(type=int, nargs="+")),
+            ("--fmax-mhz", dict(type=float, nargs="+")),
+            ("--block-bits", dict(type=int, nargs="+")),
+            ("--device", dict(nargs="+", help="device names (default: whole catalog)")),
+            ("--cycles-per-task", dict(type=int, help=f"analytical cycles per block "
+                                       f"({CORE_CYCLES_PER_BLOCK}; use {UNIT_CYCLES_PER_BLOCK} "
+                                       "for the measured handshake-inclusive constant)")),
+            ("--per-unit", dict(action="store_true",
+                                help="report per-unit throughput instead of aggregate")),
+            ("--output", dict(help="write the CSV here instead of stdout")),
+        )),
+        ("devices", "list the FPGA device catalog", cmd_devices, ()),
+    )
+
+
+def build_parser():
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="spime",
         description="Cycle-accurate simulator and performance model of a "
         "parallel AES-128 processing-in-memory array.",
+        epilog=f"Set {CATALOG_ENV_VAR} to override the device catalog CSV.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_enc = sub.add_parser("encrypt", help="encrypt 128-bit blocks through the lockstep array")
-    p_enc.add_argument("key", nargs="?", help="128-bit key as 32 hex chars")
-    p_enc.add_argument("plaintext", nargs="?", help="128-bit plaintext as 32 hex chars")
-    p_enc.add_argument("--input", help="file of '<key-hex> <plaintext-hex>' lines")
-    p_enc.add_argument("--output", help="write ciphertext hex lines to this file")
-    p_enc.add_argument("--verify", action="store_true",
-                       help="cross-check the array's result against the composition oracle")
-    p_enc.set_defaults(func=cmd_encrypt)
-
-    p_sim = sub.add_parser("simulate", help="run a job file through the lockstep array")
-    p_sim.add_argument("--job", required=True, help="job file: '<key-hex> <block>[,<block>...]'")
-    p_sim.add_argument("--num-pims", type=int, help="expected unit count (defaults to job size)")
-    p_sim.add_argument("--output", help="write the result file here instead of stdout")
-    p_sim.add_argument("--trace", help="write the per-cycle trace CSV here")
-    p_sim.set_defaults(func=cmd_simulate)
-
-    p_sweep = sub.add_parser("sweep", help="emit performance-model CSV over a parameter grid")
-    p_sweep.add_argument("--figure", type=int, choices=[3, 4, 5, 6, 7],
-                         help="emit a published figure's exact data grid (no grid flags)")
-    p_sweep.add_argument("--num-pims", type=int, nargs="+")
-    p_sweep.add_argument("--fmax-mhz", type=float, nargs="+")
-    p_sweep.add_argument("--block-bits", type=int, nargs="+")
-    p_sweep.add_argument("--device", nargs="+", help="device names (default: whole catalog)")
-    p_sweep.add_argument("--cycles-per-task", type=int,
-                         help=f"analytical cycles per block ({CORE_CYCLES_PER_BLOCK}; use "
-                         f"{UNIT_CYCLES_PER_BLOCK} for the measured handshake-inclusive constant)")
-    p_sweep.add_argument("--per-unit", action="store_true",
-                         help="report per-unit throughput instead of aggregate")
-    p_sweep.add_argument("--output", help="write the CSV here instead of stdout")
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_dev = sub.add_parser("devices", help="list the FPGA device catalog")
-    p_dev.set_defaults(func=cmd_devices)
-    parser.epilog = f"Set {CATALOG_ENV_VAR} to override the device catalog CSV."
+    for name, help_text, func, arguments in _commands():
+        command = sub.add_parser(name, help=help_text)
+        for flag, keywords in arguments:
+            command.add_argument(flag, **keywords)
+        command.set_defaults(func=func)
     return parser
 
 
+def _plain_args(argv):
+    """``build_parser().parse_args(argv)`` for a command name, then only its long options, each once
+    and in full with one value (``nargs="+"``: one or more; a flag: none), none starting with
+    ``-``, all passing ``type`` and ``choices``; None for anything else, for argparse to read."""
+    for name, _, func, arguments in _commands():
+        if argv[:1] == [name]:
+            break
+    else:
+        return None
+    values, current = {}, None  # each option's values: the tokens up to the next "-" token
+    for token in argv[1:]:
+        if token.startswith("-"):
+            if token in values:
+                return None
+            current = values[token] = []
+        elif current is None:
+            return None  # an operand
+        else:
+            current.append(token)
+    args = {"command": name, "func": func}
+    for flag, keywords in arguments:
+        given = values.pop(flag, None)  # None for an operand: its name has no "-"
+        nargs, choices = keywords.get("nargs"), keywords.get("choices", ())
+        if keywords.get("action") == "store_true":
+            if given:
+                return None
+            given = given is not None
+        elif given is None:
+            if keywords.get("required"):
+                return None
+        elif not given or len(given) > 1 and nargs != "+":
+            return None
+        else:
+            try:
+                given = [keywords.get("type", str)(value) for value in given]
+            except ValueError:
+                return None
+            if choices and any(value not in choices for value in given):
+                return None
+            given = given if nargs == "+" else given[0]
+        args[flag.lstrip("-").replace("-", "_")] = given
+    return None if values else SimpleNamespace(**args)  # an option left over is not declared
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _plain_args(sys.argv[1:] if argv is None else argv) or build_parser().parse_args(argv)
     staged = {}
     try:
         outputs = args.func(args)

@@ -170,7 +170,6 @@ class SpimeArraySim:
         """Global reset: control to IDLE, cycle count, trace and captures cleared, buses zeroed."""
         self._control.reset()
         zero = self._control.core.state_reg = bytes(BLOCK_BYTES * self.cfg.num_pims)
-        self._obs = self._observe()
         self.cycle = 0
         self._trace = []  # one control record per cycle: TRACE_HEADER minus "unit"
         # The staged buses: 16N bytes wide from reset on, as the job's registers are.
@@ -190,7 +189,7 @@ class SpimeArraySim:
         return _per_unit(self._captured, self.cfg.num_pims)
 
     def _observe(self) -> UnitObservation:
-        """Read the shared control signals; the only place the FSMs are read."""
+        """The shared control signals as one observation, for :meth:`tick`'s callers."""
         ctrl, core = self._control.ctrl, self._control.core
         return UnitObservation(ctrl.state, core.current_state, ctrl.aes_start,
                                core.done, ctrl.done, core.round)
@@ -219,28 +218,34 @@ class SpimeArraySim:
         self._blocks = job.blocks_per_unit
 
     def job_complete(self) -> bool:
-        """True once every block is captured and the control is idle again."""
-        return (len(self._captured) >= self._blocks
-                and self._obs[:5] == (C_IDLE, IDLE, False, False, False))
+        """True once every block is captured and the control is idle again, all pulses low."""
+        ctrl, core = self._control.ctrl, self._control.core
+        return (len(self._captured) >= self._blocks and ctrl.state == C_IDLE
+                and core.current_state == IDLE and not (ctrl.aes_start or core.done or ctrl.done))
 
-    def tick(self) -> list:
-        """Advance the array exactly one global cycle; returns observations."""
+    def _edge(self) -> None:
+        """One global cycle, as :meth:`tick` without the observation: the edge run_job clocks."""
         # Start is sampled only in IDLE and stays high until the last block is captured.
         # A busy core works on the first uncaptured block; with start low the buses hold
         # the last block, which the idle core does not read. The buses are the same
         # objects for a whole block, so the unit checks them once per block.
-        captured = len(self._captured)
-        start = captured < self._blocks
-        self._control.tick(start, self._inputs[captured if start else -1], self._round_keys)
+        control, captured = self._control, self._captured
+        start = len(captured) < self._blocks
+        control.tick(start, self._inputs[len(captured) if start else -1], self._round_keys)
 
         self.cycle += 1
-        self._obs = obs = self._observe()
-        if obs.done:
-            self._captured.append(self._control.ctrl.data_out)
+        ctrl = control.ctrl
+        if ctrl.done:
+            captured.append(ctrl.data_out)
         if self.cfg.trace_enabled:
-            self._trace.append((self.cycle, obs.ctrl_state, int(obs.aes_start), obs.core_state,
-                                obs.round, int(obs.aes_done), int(obs.done)))
-        return [obs] * self.cfg.num_pims
+            core = control.core
+            self._trace.append((self.cycle, ctrl.state, int(ctrl.aes_start), core.current_state,
+                                core.round, int(core.done), int(ctrl.done)))
+
+    def tick(self) -> list:
+        """Advance the array exactly one global cycle; returns one observation per unit."""
+        self._edge()
+        return [self._observe()] * self.cfg.num_pims
 
     def iter_trace_lines(self):
         """Yield the trace CSV text: the header line, then one string per cycle.
@@ -274,7 +279,7 @@ class SpimeArraySim:
         self.load_job(job)
         budget = self._blocks * UNIT_CYCLES_PER_BLOCK + 64
         while not self.job_complete():
-            self.tick()
+            self._edge()
             if self.cycle > budget:
                 raise RuntimeError("array failed to finish within the cycle budget")
         return SpimeResult(
@@ -335,7 +340,7 @@ def _job_from_units(data, blocks):
 
 
 def parse_job_lines(lines, blocks_per_unit=None) -> SpimeJob:
-    """Parse a job file or list of lines into registers; raises JobFormatError with a line number.
+    """Parse a job's text, file or lines into registers; raises JobFormatError with a line number.
 
     Every unit must hold ``blocks_per_unit`` blocks (default: as many as the first).
     The text is read once, into one buffer of the units' bytes in file order. Once the
@@ -344,7 +349,7 @@ def parse_job_lines(lines, blocks_per_unit=None) -> SpimeJob:
     on its two fields joined by one space. A line it refuses, or the one that sets the
     block count, is checked field by field, which gives every message and line number.
     """
-    text = lines.read() if hasattr(lines, "read") else "".join(
+    text = lines if isinstance(lines, str) else lines.read() if hasattr(lines, "read") else "".join(
         line if line.endswith("\n") else line + "\n" for line in lines)
     data = bytearray()  # each unit's key and blocks, in file order
     expected_blocks = blocks_per_unit

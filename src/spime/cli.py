@@ -63,11 +63,13 @@ def _reading(what):
 
 
 def _read_job(path, blocks_per_unit=None):
-    with _reading(path), open(path, encoding="utf-8-sig") as fh:
+    """Parse a job read once as UTF-8, dropping one leading byte-order mark as utf-8-sig would."""
+    with _reading(path), open(path, encoding="utf-8") as fh:
         try:
-            return parse_job_lines(fh, blocks_per_unit)
+            text = fh.read()
         except UnicodeDecodeError as exc:
             raise JobFormatError(*undecodable_line(fh, exc)) from None
+        return parse_job_lines(text.removeprefix("\ufeff"), blocks_per_unit)
 
 
 def _load_catalog(path=None):

@@ -235,14 +235,15 @@ def block_round(register: bytes, round_key: bytes, final: bool = False) -> bytes
     *The Design of Rijndael*, 2002, section 4.1). A :class:`RoundKey` brings
     its int; any other bytes-like round key is converted on each call.
     """
-    m = _masks(len(register))
+    hi24, lo8, hi16, lo16, low7, lsb, rows01, up2, down2, rows02, up1, down1, _, _, _ = \
+        _masks(len(register))
     x = int.from_bytes(register.translate(SBOX), "big")
-    x = (x & m.rows01) | ((x & m.up2) << 64) | ((x & m.down2) >> 64)
-    x = (x & m.rows02) | ((x & m.up1) << 32) | ((x & m.down1) >> 96)
+    x = (x & rows01) | ((x & up2) << 64) | ((x & down2) >> 64)
+    x = (x & rows02) | ((x & up1) << 32) | ((x & down1) >> 96)
     if not final:
-        pair = x ^ ((x << 8) & m.hi24) ^ ((x >> 24) & m.lo8)  # x ^ rot8(x)
-        column = pair ^ ((pair << 16) & m.hi16) ^ ((pair >> 16) & m.lo16)  # XOR of the column
-        x ^= ((pair & m.low7) << 1) ^ ((pair >> 7) & m.lsb) * 0x1B ^ column  # xtime(pair)
+        pair = x ^ ((x << 8) & hi24) ^ ((x >> 24) & lo8)  # x ^ rot8(x)
+        column = pair ^ ((pair << 16) & hi16) ^ ((pair >> 16) & lo16)  # XOR of the column
+        x ^= ((pair & low7) << 1) ^ ((pair >> 7) & lsb) * 0x1B ^ column  # xtime(pair)
     key = round_key.value if type(round_key) is RoundKey else int.from_bytes(round_key, "big")
     return (x ^ key).to_bytes(len(register), "big")
 

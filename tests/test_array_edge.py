@@ -11,15 +11,11 @@ import random
 import pytest
 
 from spime.aes_core import IDLE
-from spime.array_sim import SpimeArraySim, SpimeConfig, SpimeJob, build_array
+from spime.array_sim import SpimeArraySim, SpimeConfig, build_array
 from spime.controller import C_IDLE, UNIT_CYCLES_PER_BLOCK
 
 from oracles import aes128_ecb
-
-
-def random_job(rng, num_pims, blocks):
-    return SpimeJob(keys=[rng.randbytes(16) for _ in range(num_pims)],
-                    inputs=[[rng.randbytes(16) for _ in range(blocks)] for _ in range(num_pims)])
+from helpers import random_job
 
 
 def traced_array(num_pims, blocks):

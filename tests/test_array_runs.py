@@ -15,11 +15,7 @@ from spime.array_sim import ConfigError, SpimeConfig, SpimeJob, build_array
 from spime.controller import UNIT_CYCLES_PER_BLOCK
 
 from oracles import aes128_ecb
-
-
-def random_job(rng, num_pims, blocks):
-    return SpimeJob(keys=[rng.randbytes(16) for _ in range(num_pims)],
-                    inputs=[[rng.randbytes(16) for _ in range(blocks)] for _ in range(num_pims)])
+from helpers import random_job
 
 
 def cfg(num_pims, blocks):

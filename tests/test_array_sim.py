@@ -19,13 +19,7 @@ from spime.array_sim import (
 from spime.controller import UNIT_CYCLES_PER_BLOCK
 
 from oracles import aes128_ecb
-
-
-def random_job(rng, num_pims, blocks_per_unit):
-    return SpimeJob(
-        keys=[rng.randbytes(16) for _ in range(num_pims)],
-        inputs=[[rng.randbytes(16) for _ in range(blocks_per_unit)] for _ in range(num_pims)],
-    )
+from helpers import random_job
 
 
 def make_cfg(num_pims, blocks_per_unit, trace=False):

@@ -2,9 +2,9 @@
 
 Every check of the program is a test, so it runs wherever ``pytest`` runs.
 The workflow keeps only the steps that cannot be tests: installing the
-package, running the suite, summarising the ``src/`` line count, and the
-benchmark harness's self-test. The file is read as text, since PyYAML is not
-a test dependency.
+package, running the suite and summarising the ``src/`` line count. The
+benchmark harness's self-test is a test too (``test_perfbench_smoke.py``).
+The file is read as text, since PyYAML is not a test dependency.
 """
 
 import pathlib
@@ -19,5 +19,4 @@ def test_the_workflow_names_only_install_tests_line_count_and_self_test():
         "Install",
         "Tier-1 tests",
         "Source line count (the src/ size ROADMAP tracks)",
-        "Benchmark self-test (output checks against the paper equations and golden CSVs)",
     ]

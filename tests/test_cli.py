@@ -17,27 +17,8 @@ from spime.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from spime.controller import UNIT_CYCLES_PER_BLOCK
 from spime.primitives import reference_encrypt
 
-from oracles import (
-    FIPS_C1_CIPHERTEXT,
-    FIPS_C1_KEY,
-    FIPS_C1_PLAINTEXT,
-    aes128_ecb,
-)
-
-C1_KEY_HEX = FIPS_C1_KEY.hex()
-C1_PT_HEX = FIPS_C1_PLAINTEXT.hex()
-
-
-def write_job(path, rng, num_pims, blocks_per_unit):
-    keys, inputs, lines = [], [], []
-    for _ in range(num_pims):
-        key = rng.randbytes(16)
-        blocks = [rng.randbytes(16) for _ in range(blocks_per_unit)]
-        keys.append(key)
-        inputs.append(blocks)
-        lines.append(f"{key.hex()} {','.join(b.hex() for b in blocks)}")
-    path.write_text("\n".join(lines) + "\n")
-    return keys, inputs
+from oracles import FIPS_C1_CIPHERTEXT, aes128_ecb
+from helpers import C1_KEY_HEX, C1_PT_HEX, write_job
 
 
 # ---------------------------------------------------------------------------

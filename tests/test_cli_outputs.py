@@ -17,8 +17,7 @@ import pytest
 from spime import cli
 from spime.cli import EXIT_IO, main
 
-from test_cli import C1_KEY_HEX, C1_PT_HEX, write_job
-from test_startup import SRC
+from helpers import C1_KEY_HEX, C1_PT_HEX, run_python, write_job
 
 
 def _files(root):
@@ -270,9 +269,6 @@ def test_a_failed_stdout_write_exits_3_and_writes_no_file(tmp_path, job, command
     where Python flushes it again; that flush must not fail (Python would exit 120)."""
     if sink == "dev-full" and not os.path.exists("/dev/full"):
         pytest.skip("needs a device that refuses writes")
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("SPIME_DEVICE_CATALOG", "PYTHONUNBUFFERED")}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     if sink == "closed-pipe":
         read_end, stdout = os.pipe()
         os.close(read_end)
@@ -280,9 +276,8 @@ def test_a_failed_stdout_write_exits_3_and_writes_no_file(tmp_path, job, command
         stdout = os.open("/dev/full", os.O_WRONLY)
     code = errno.EPIPE if sink == "closed-pipe" else errno.ENOSPC
     try:
-        proc = subprocess.run([sys.executable, "-m", "spime", *(a.format(job=job) for a in command)],
-                              cwd=tmp_path, env=env, stdout=stdout, stderr=subprocess.PIPE,
-                              text=True, timeout=60)
+        proc = run_python("-m", "spime", *(a.format(job=job) for a in command), cwd=tmp_path,
+                          stdout=stdout, stderr=subprocess.PIPE, text=True)
     finally:
         os.close(stdout)
     assert (proc.returncode, proc.stderr) == (EXIT_IO, f"error: [Errno {code}] "
@@ -320,11 +315,8 @@ def test_a_failed_stderr_keeps_the_exit_code(tmp_path, job, command, code):
     on a full stderr; the exit code still tells. Stderr is buffered, as by default, so what it
     could not write is still buffered at exit, where Python flushes it again; that flush must
     not fail (Python would exit 120)."""
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("SPIME_DEVICE_CATALOG", "PYTHONUNBUFFERED")}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     with open(os.devnull, "w") as stdout, open("/dev/full", "w") as stderr:
-        proc = subprocess.run([sys.executable, "-m", "spime", *(a.format(job=job) for a in command)],
-                              cwd=tmp_path, env=env, stdout=stdout, stderr=stderr, timeout=60)
+        proc = run_python("-m", "spime", *(a.format(job=job) for a in command), cwd=tmp_path,
+                          stdout=stdout, stderr=stderr)
     assert proc.returncode == code
     assert _files(tmp_path) == {str(job)}

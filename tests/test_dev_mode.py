@@ -7,12 +7,11 @@ asserts that stderr holds nothing but the expected error line.
 """
 
 from oracles import FIPS_C1_CIPHERTEXT, FIPS_C1_KEY, FIPS_C1_PLAINTEXT
-from test_installed_command import CIPHERTEXT, PLAINTEXT, fips_job
-from test_startup import DATA, _python
+from helpers import CIPHERTEXT, DATA, PLAINTEXT, fips_job, run_python
 
 
 def _dev(*argv, cwd):
-    return _python("-X", "dev", "-W", "error", "-m", "spime", *argv, cwd=cwd)
+    return run_python("-X", "dev", "-W", "error", "-m", "spime", *argv, cwd=cwd)
 
 
 def test_encrypt_verify(tmp_path):

@@ -17,11 +17,6 @@ NUM_PIMS = [1, 10**305]
 FMAX_MHZ = [1e-10, 1e10]
 
 
-@pytest.fixture(autouse=True)
-def built_in_catalog(monkeypatch):
-    monkeypatch.delenv("SPIME_DEVICE_CATALOG", raising=False)
-
-
 def test_an_infinite_throughput_cell_is_refused_and_writes_no_file(tmp_path, capsys):
     grid = sweep_grid(load_device_catalog(), ["U55C"], NUM_PIMS, FMAX_MHZ, [128])
     points = list(grid)

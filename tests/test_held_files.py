@@ -13,15 +13,13 @@ streams and a timeout, so a hang fails the test and the child is killed.
 import os
 import random
 import subprocess
-import sys
 import threading
 
 import pytest
 
 from spime.cli import EXIT_OK, EXIT_USAGE, main
 
-from test_cli import write_job
-from test_startup import DATA, SRC
+from helpers import DATA, child_env, run_python, write_job
 
 TIMEOUT_S = 30
 
@@ -30,13 +28,8 @@ pytestmark = pytest.mark.skipif(not os.path.exists("/dev/fd/1"),
 
 
 def _spime(tmp_path, *args, catalog=None, **kwargs):
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("SPIME_DEVICE_CATALOG", "PYTHONUNBUFFERED")}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    if catalog is not None:
-        env["SPIME_DEVICE_CATALOG"] = catalog
-    return subprocess.run([sys.executable, "-m", "spime", *args], cwd=tmp_path, env=env,
-                          timeout=TIMEOUT_S, **kwargs)
+    env = child_env() if catalog is None else child_env(SPIME_DEVICE_CATALOG=catalog)
+    return run_python("-m", "spime", *args, cwd=tmp_path, env=env, timeout=TIMEOUT_S, **kwargs)
 
 
 def _staged(tmp_path):

@@ -5,36 +5,10 @@ after ``pip install -e .``), and ``python -m spime`` otherwise. Either way the
 interpreter is this one, on the spime this process imported.
 """
 
-import shutil
-
 import pytest
 
-from oracles import (
-    FIPS_B_CIPHERTEXT,
-    FIPS_B_KEY,
-    FIPS_B_PLAINTEXT,
-    FIPS_C1_CIPHERTEXT,
-    FIPS_C1_KEY,
-    FIPS_C1_PLAINTEXT,
-)
-from test_startup import DATA, _python
-
-def spime(*argv, cwd):
-    """Run the installed ``spime`` script when it is on ``PATH``, else ``python -m spime``."""
-    script = shutil.which("spime")
-    return _python(*([script] if script else ["-m", "spime"]), *argv, cwd=cwd)
-
-
-# The FIPS-197 C.1 and Appendix B vectors: key, plaintext, ciphertext.
-_UNITS = [(FIPS_C1_KEY, FIPS_C1_PLAINTEXT, FIPS_C1_CIPHERTEXT),
-          (FIPS_B_KEY, FIPS_B_PLAINTEXT, FIPS_B_CIPHERTEXT)]
-PLAINTEXT, CIPHERTEXT = 1, 2
-
-
-def fips_job(column, blocks=1, sep=" ", ending="\n"):
-    """A job line per FIPS unit: its key and ``blocks`` copies of its block in ``column``."""
-    return "".join(f"{unit[0].hex()}{sep}{','.join([unit[column].hex()] * blocks)}{ending}"
-                   for unit in _UNITS)
+from oracles import FIPS_C1_CIPHERTEXT, FIPS_C1_KEY, FIPS_C1_PLAINTEXT
+from helpers import CIPHERTEXT, DATA, FIPS_UNITS, PLAINTEXT, fips_job, spime
 
 
 def test_encrypt_verify_prints_the_fips_ciphertext(tmp_path):
@@ -65,7 +39,7 @@ def test_simulate_and_encrypt_give_the_fips_ciphertexts(tmp_path, spelling, bloc
         # encrypt runs the same operands as one job on the same array: the ciphertext column.
         proc = spime("encrypt", "--input", "fips.job", "--verify", cwd=tmp_path)
         assert (proc.returncode, proc.stderr) == (0, "")
-        assert proc.stdout == "".join(ct.hex() + "\n" for _, _, ct in _UNITS)
+        assert proc.stdout == "".join(ct.hex() + "\n" for _, _, ct in FIPS_UNITS)
 
 
 def test_refusals_exit_2_and_write_no_file(tmp_path):

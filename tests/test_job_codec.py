@@ -5,28 +5,10 @@ Each run is a fresh interpreter, because this process may have loaded the
 codec already.
 """
 
-import os
-import subprocess
-import sys
-
-import spime
-
 from oracles import FIPS_C1_CIPHERTEXT, FIPS_C1_KEY, FIPS_C1_PLAINTEXT
+from helpers import newly_loaded
 
-SRC = os.path.dirname(os.path.dirname(os.path.abspath(spime.__file__)))
 CODEC = "encodings.utf_8_sig"
-
-
-def _newly_loaded(statement, cwd):
-    """The modules a fresh interpreter loads to run ``statement``."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys; before = set(sys.modules); " + statement
-         + "; print(*sorted(set(sys.modules) - before))"],
-        cwd=cwd, env=env, capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    return set(proc.stdout.splitlines()[-1].split())
 
 
 def test_a_plain_simulate_skips_the_byte_order_mark_codec(tmp_path):
@@ -36,7 +18,7 @@ def test_a_plain_simulate_skips_the_byte_order_mark_codec(tmp_path):
     results = []
     for name in ("plain", "marked"):
         argv = ["simulate", "--job", f"{name}.job", "--output", f"{name}.out"]
-        loaded = _newly_loaded(f"import spime.cli; assert spime.cli.main({argv!r}) == 0", tmp_path)
+        loaded = newly_loaded(f"import spime.cli; assert spime.cli.main({argv!r}) == 0", tmp_path)
         assert "spime.array_sim" in loaded
         assert CODEC not in loaded
         results.append((tmp_path / f"{name}.out").read_text())

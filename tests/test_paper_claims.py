@@ -10,22 +10,17 @@ import random
 import pytest
 
 from spime import perf
-from spime.array_sim import SpimeConfig, SpimeJob, build_array
+from spime.array_sim import SpimeConfig, build_array
+
+from helpers import random_job
 
 DATACENTER = ["U55C", "U280", "VCU118"]
 EMBEDDED = ["ZCU104", "ZCU106"]
 
 
-@pytest.fixture(scope="module")
-def catalog():
-    return perf.load_device_catalog()
-
-
 def run(seed, num_pims, blocks):
     """A random job of ``num_pims`` units x ``blocks`` blocks, run on a new array."""
-    rng = random.Random(seed)
-    job = SpimeJob(keys=[rng.randbytes(16) for _ in range(num_pims)],
-                   inputs=[[rng.randbytes(16) for _ in range(blocks)] for _ in range(num_pims)])
+    job = random_job(random.Random(seed), num_pims, blocks)
     return build_array(SpimeConfig(num_pims, blocks * 128)).run_job(job)
 
 

@@ -34,11 +34,6 @@ from spime.perf import (
 )
 
 
-@pytest.fixture(scope="module")
-def catalog():
-    return load_device_catalog()
-
-
 # ---------------------------------------------------------------------------
 # single-task latency
 # ---------------------------------------------------------------------------

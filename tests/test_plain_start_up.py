@@ -7,29 +7,20 @@ its help and usage text to the terminal width.
 
 import contextlib
 import io
-import os
-import subprocess
-import sys
 
 import pytest
 
-import spime
 from spime.cli import build_parser
 
 from oracles import FIPS_C1_CIPHERTEXT, FIPS_C1_KEY, FIPS_C1_PLAINTEXT
+from helpers import child_env, newly_loaded, run_python
 
-SRC = os.path.dirname(os.path.dirname(os.path.abspath(spime.__file__)))
 PARSER_MODULES = {"argparse", "gettext", "locale"}
 COLUMNS = "80"
 
 
 def _python(*args, cwd):
-    """Run a fresh interpreter on the spime this process imported, with the packaged catalog."""
-    env = {k: v for k, v in os.environ.items() if k != "SPIME_DEVICE_CATALOG"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    env["COLUMNS"] = COLUMNS
-    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True,
-                          text=True, timeout=60)
+    return run_python(*args, cwd=cwd, env=child_env(COLUMNS=COLUMNS))
 
 
 def _argparse(argv, monkeypatch):
@@ -42,16 +33,8 @@ def _argparse(argv, monkeypatch):
     return exc.value.code, out.getvalue(), err.getvalue()
 
 
-def _loaded_by(statement, cwd):
-    """The parser modules a fresh interpreter loads to run ``statement``."""
-    proc = _python("-c", "import sys; before = set(sys.modules); " + statement
-                   + "; print(*sorted(set(sys.modules) - before))", cwd=cwd)
-    assert proc.returncode == 0, proc.stderr
-    return set(proc.stdout.splitlines()[-1].split()) & PARSER_MODULES
-
-
 def test_importing_the_cli_loads_neither_argparse_nor_gettext(tmp_path):
-    assert _loaded_by("import spime.cli", tmp_path) == set()
+    assert newly_loaded("import spime.cli", tmp_path) & PARSER_MODULES == set()
 
 
 @pytest.mark.parametrize("argv", [
@@ -63,7 +46,7 @@ def test_importing_the_cli_loads_neither_argparse_nor_gettext(tmp_path):
 def test_a_plain_command_loads_no_argparse_gettext_or_locale(tmp_path, argv):
     (tmp_path / "c1.job").write_text(f"{FIPS_C1_KEY.hex()} {FIPS_C1_PLAINTEXT.hex()}\n")
     statement = f"import spime.cli; assert spime.cli.main({argv!r}) == 0"
-    assert _loaded_by(statement, tmp_path) == set()
+    assert newly_loaded(statement, tmp_path) & PARSER_MODULES == set()
     if argv[0] == "encrypt":
         assert (tmp_path / "r.out").read_text() == FIPS_C1_CIPHERTEXT.hex() + "\n"
 

@@ -5,14 +5,8 @@ already have imported ``spime.perf``, which would hide a command that
 forgot to import it lazily.
 """
 
-import os
-import pathlib
-import subprocess
-import sys
-
 import pytest
 
-import spime
 from spime.perf import load_device_catalog
 
 from oracles import (
@@ -23,42 +17,24 @@ from oracles import (
     FIPS_C1_KEY,
     FIPS_C1_PLAINTEXT,
 )
-
-DATA = pathlib.Path(__file__).resolve().parent / "data"
-SRC = os.path.dirname(os.path.dirname(os.path.abspath(spime.__file__)))
+from helpers import DATA, newly_loaded, run_python
 
 # Modules the simulate path must not load: the perf model and what dataclasses pulls in.
 NOT_AT_START_UP = {"spime.perf", "dataclasses", "inspect", "csv"}
 
 
-def _python(*args, cwd):
-    """Run a fresh interpreter on the spime this process imported, with the packaged catalog."""
-    env = {k: v for k, v in os.environ.items() if k != "SPIME_DEVICE_CATALOG"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True,
-                          text=True, timeout=60)
-
-
 def _spime(*argv, cwd):
-    return _python("-m", "spime", *argv, cwd=cwd)
-
-
-def _new_modules(tmp_path, statement):
-    """The modules a fresh interpreter loads to run ``statement``; diffing ignores ``site``."""
-    proc = _python("-c", "import sys; before = set(sys.modules); " + statement
-                   + "; print(*sorted(set(sys.modules) - before))", cwd=tmp_path)
-    assert proc.returncode == 0, proc.stderr
-    return set(proc.stdout.split())
+    return run_python("-m", "spime", *argv, cwd=cwd)
 
 
 def test_importing_the_cli_loads_neither_perf_nor_dataclasses(tmp_path):
-    loaded = _new_modules(tmp_path, "import spime.cli")
+    loaded = newly_loaded("import spime.cli", tmp_path)
     assert "spime.cli" in loaded
     assert loaded & NOT_AT_START_UP == set()
 
 
 def test_importing_perf_loads_no_dataclasses_or_csv(tmp_path):
-    loaded = _new_modules(tmp_path, "import spime.perf")
+    loaded = newly_loaded("import spime.perf", tmp_path)
     assert "spime.perf" in loaded
     assert loaded & (NOT_AT_START_UP - {"spime.perf"}) == set()
 

@@ -6,8 +6,6 @@ through ``evaluate`` (``sweep_csv_rows``), written by ``csv.writer``, or the
 error ``iter_sweep`` raises.
 """
 
-import csv
-import io
 import math
 
 import pytest
@@ -32,12 +30,9 @@ from spime.perf import (
     sweep_grid,
 )
 
+from helpers import flat_csv
+
 BUILT_IN_DEVICES = ["U55C", "U280", "VCU118", "ZCU104", "ZCU106"]
-
-
-@pytest.fixture(autouse=True)
-def built_in_catalog(monkeypatch):
-    monkeypatch.delenv("SPIME_DEVICE_CATALOG", raising=False)
 
 
 def _reference(catalog, axes, interpretation):
@@ -51,12 +46,7 @@ def _reference(catalog, axes, interpretation):
             pass
     except ValueError as exc:
         return EXIT_USAGE, "", f"error: {exc}\n"
-    rows = sweep_csv_rows(list(grid), interpretation)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    writer.writerows(rows)
-    return EXIT_OK, buf.getvalue(), ""
+    return EXIT_OK, flat_csv(grid, interpretation), ""
 
 
 def _argv(axes, per_unit):
@@ -131,10 +121,8 @@ def test_sweep_matches_the_flat_path(capsys, device, num_pims, fmax_mhz, block_b
 def test_figure_lines_match_the_flat_path(figure, per_unit):
     grid, interpretation = figure_grid(figure, load_device_catalog())
     interpretation = PER_UNIT if per_unit else interpretation
-    rows = sweep_csv_rows(list(grid), interpretation)
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows([CSV_HEADER, *rows])
-    assert "".join(line + "\n" for line in sweep_csv_lines(grid, interpretation)) == buf.getvalue()
+    want = flat_csv(grid, interpretation)
+    assert "".join(line + "\n" for line in sweep_csv_lines(grid, interpretation)) == want
 
 
 # ---------------------------------------------------------------------------

@@ -8,15 +8,11 @@ exponent form. ``spime sweep`` must write the bytes that ``csv.writer`` writes
 for ``sweep_csv_rows`` on the same grid.
 """
 
-import csv
-import io
-
 import pytest
 
 from spime.cli import EXIT_OK, main
 from spime.perf import (
     AGGREGATE,
-    CSV_HEADER,
     DEFAULT_CYCLES_PER_TASK,
     PER_UNIT,
     load_device_catalog,
@@ -24,14 +20,11 @@ from spime.perf import (
     sweep_grid,
 )
 
+from helpers import flat_csv
+
 NUM_PIMS = [1, 4096, 10**9, 10**15]
 FMAX_MHZ = [1e-10, 0.01, 100.0, 1e6]
 BLOCK_BITS = [128, 65536]
-
-
-@pytest.fixture(autouse=True)
-def built_in_catalog(monkeypatch):
-    monkeypatch.delenv("SPIME_DEVICE_CATALOG", raising=False)
 
 
 @pytest.mark.parametrize("flags, interpretation, cycles", [
@@ -46,12 +39,10 @@ def test_boundary_grid_matches_the_flat_path(tmp_path, flags, interpretation, cy
     assert main(argv) == EXIT_OK
 
     grid = sweep_grid(load_device_catalog(), None, NUM_PIMS, FMAX_MHZ, BLOCK_BITS, cycles)
-    rows = sweep_csv_rows(list(grid), interpretation)
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows([CSV_HEADER, *rows])
-    assert output.read_bytes() == buf.getvalue().encode()
+    assert output.read_bytes() == flat_csv(grid, interpretation).encode()
 
     # Both branches of the cell conversion are taken.
+    rows = sweep_csv_rows(list(grid), interpretation)
     cells = [cell for row in rows for cell in row[4:]]
     assert any(abs(cell) >= 1e11 for cell in cells)
     assert any(cell == 0.0 for cell in cells)

@@ -8,8 +8,6 @@ utilization both overflow, now that throughput is rendered before any
 device's rows.
 """
 
-import csv
-import io
 from unittest import mock
 
 import pytest
@@ -18,27 +16,15 @@ from spime import perf
 from spime.cli import EXIT_USAGE, main
 from spime.perf import (
     AGGREGATE,
-    CSV_HEADER,
     PER_UNIT,
     SweepError,
     iter_sweep,
     load_device_catalog,
     sweep_csv_lines,
-    sweep_csv_rows,
     sweep_grid,
 )
 
-
-@pytest.fixture(autouse=True)
-def built_in_catalog(monkeypatch):
-    monkeypatch.delenv("SPIME_DEVICE_CATALOG", raising=False)
-
-
-def _flat_csv(grid, interpretation):
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(
-        [CSV_HEADER, *sweep_csv_rows(list(grid), interpretation)])
-    return buf.getvalue()
+from helpers import flat_csv
 
 
 @pytest.mark.parametrize("interpretation", [AGGREGATE, PER_UNIT])
@@ -54,7 +40,7 @@ def test_throughput_is_rendered_once_per_unit_count_clock_and_block_size(interpr
     assert throughput.call_count - evaluate.call_count == 3 * 2 * 2
     # One string per (device, unit count) after the header.
     assert len(lines) == 1 + 5 * 3
-    assert "".join(s + "\n" for s in lines) == _flat_csv(grid, interpretation)
+    assert "".join(s + "\n" for s in lines) == flat_csv(grid, interpretation)
 
 
 @pytest.mark.parametrize("per_unit", [False, True])

@@ -8,22 +8,18 @@ device on a fixed grid, and a seeded grid shaped like the benchmark's
 (5 devices x 40 x 25 x 20, 100,000 rows).
 """
 
-import csv
-import io
 import random
 
 import pytest
 
 from spime.perf import (
     AGGREGATE,
-    CSV_HEADER,
     PER_UNIT,
     load_device_catalog,
-    sweep_csv_rows,
     sweep_grid,
 )
 
-from test_installed_command import spime
+from helpers import flat_csv, spime
 
 DEVICES = ["U55C", "U280", "VCU118", "ZCU104", "ZCU106"]
 
@@ -33,11 +29,6 @@ def _seeded_axes():
     return ([rng.randint(1, 4096) for _ in range(40)],
             [rng.randint(5000, 80000) / 100 for _ in range(25)],
             [128 * rng.randint(1, 512) for _ in range(20)])
-
-
-@pytest.fixture(autouse=True)
-def built_in_catalog(monkeypatch):
-    monkeypatch.delenv("SPIME_DEVICE_CATALOG", raising=False)
 
 
 @pytest.mark.parametrize("per_unit", [False, True], ids=["aggregate", "per-unit"])
@@ -53,11 +44,8 @@ def test_the_command_writes_the_flat_paths_bytes(tmp_path, axes, rows, per_unit)
     assert (proc.returncode, proc.stderr) == (0, "")
 
     grid = sweep_grid(load_device_catalog(), DEVICES, num_pims, fmax_mhz, block_bits)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    writer.writerows(sweep_csv_rows(list(grid), PER_UNIT if per_unit else AGGREGATE))
+    want = flat_csv(grid, PER_UNIT if per_unit else AGGREGATE)
     # Lists of lines, so that a failure names the first row that differs at once.
     lines = proc.stdout.splitlines(keepends=True)
     assert len(lines) == 1 + rows
-    assert lines == buf.getvalue().splitlines(keepends=True)
+    assert lines == want.splitlines(keepends=True)

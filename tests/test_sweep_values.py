@@ -9,8 +9,6 @@ tests pin that equality, that sign, the number of ``_decimal4`` calls a grid
 with repeated throughputs makes, and the bytes against the flat path.
 """
 
-import csv
-import io
 import math
 import random
 from unittest import mock
@@ -22,25 +20,20 @@ from hypothesis import strategies as st
 from spime import perf
 from spime.perf import (
     AGGREGATE,
-    CSV_HEADER,
     PER_UNIT,
     _throughput,
     latency_us,
     load_device_catalog,
     sweep,
     sweep_csv_lines,
-    sweep_csv_rows,
     sweep_grid,
     throughput_gbps,
 )
 from spime.primitives import BLOCK_BITS
 
+from helpers import flat_csv
+
 _PROPERTY = settings(max_examples=1000, deadline=None)
-
-
-@pytest.fixture(autouse=True)
-def built_in_catalog(monkeypatch):
-    monkeypatch.delenv("SPIME_DEVICE_CATALOG", raising=False)
 
 
 def _outcome(fn, *args):
@@ -98,7 +91,4 @@ def test_each_distinct_throughput_is_printed_once(interpretation, axes):
     # One latency per clock, one text per distinct throughput, LUT and FF per
     # (device, unit count).
     assert decimal4.call_count == len(clocks) + len(distinct) + 2 * len(catalog) * len(units)
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(
-        [CSV_HEADER, *sweep_csv_rows(list(grid), interpretation)])
-    assert "".join(s + "\n" for s in lines) == buf.getvalue()
+    assert "".join(s + "\n" for s in lines) == flat_csv(grid, interpretation)

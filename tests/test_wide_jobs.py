@@ -11,7 +11,7 @@ import random
 import pytest
 
 from oracles import aes128_ecb
-from test_installed_command import spime
+from helpers import spime
 
 
 def _seeded_job(tmp_path, units, seed):

@@ -3,23 +3,34 @@
 Everything here is combinational: total functions on bytes, 4x4 state
 matrices, and 128-bit blocks. A :class:`RoundKey` carries its own int,
 set by :func:`expand_keys`, so the module keeps no per-job state (only
-masks, memoised per register width). The only stateful object is
+masks, memoised per register width, and the compiled module's T-tables,
+kept for the S-box they were built from). The only stateful object is
 :class:`SubBytesPacket`, which models the packet-gated substitution
 module's single data latch.
 
-The cipher is coded twice. :func:`block_round` is the simulator's
-datapath: it works on a register of one or more block-form states, one
-per 16-byte lane, as one big-endian int, so N units' states advance in
-one call (Kasper & Schwabe, CHES 2009, lay AES out the same way across
-the words of a machine register). Its ShiftRows is two masked rotations
-of whole column words, and its MixColumns takes the column XOR from
-``pair = x ^ rot8(x)`` as ``pair ^ rot16(pair)``. :func:`expand_keys`
-expands N keys in one batch in the same layout, each round's SubWord
-taken from four strided byte slices of the last round key. The
-list-of-lists transforms (:func:`sub_bytes`, :func:`shift_rows`,
-:func:`mix_columns`, :func:`add_round_key`) compose into
-:func:`reference_encrypt`, the oracle the block round is checked
-against. Both share :data:`SBOX` and :func:`expand_key`.
+The cipher is coded three times. :func:`block_round` is the simulator's
+datapath: one AES round on a register of one or more block-form states,
+one per 16-byte lane, so N units' states advance in one call.
+:func:`expand_keys` expands N keys in one batch in the same layout.
+
+1. The compiled module ``spime._datapath``, built from ``_datapath.c`` on
+   first import (see :func:`_load_datapath`), runs both with T-tables
+   (Daemen & Rijmen, *The Design of Rijndael*, 2002, section 4.2). They
+   call it whenever it loaded, passing :data:`SBOX` and :data:`RCON` on
+   every call.
+2. The pure-Python code below them is the reference the compiled module is
+   tested against and the fallback where it cannot be built; it gives the
+   same bytes. :func:`block_round` holds the register as one big-endian int
+   (Kasper & Schwabe, CHES 2009, lay AES out the same way across the words
+   of a machine register): its ShiftRows is two masked rotations of whole
+   column words, and its MixColumns takes the column XOR from
+   ``pair = x ^ rot8(x)`` as ``pair ^ rot16(pair)``. :func:`expand_keys`
+   takes each round's SubWord from four strided byte slices of the last
+   round key.
+3. The list-of-lists transforms (:func:`sub_bytes`, :func:`shift_rows`,
+   :func:`mix_columns`, :func:`add_round_key`) are the test oracles: they
+   compose into :func:`reference_encrypt`, which the block round is checked
+   against. It shares :data:`SBOX` and :func:`expand_key` with the datapath.
 
 Conventions:
   * A 128-bit block is ``bytes`` of length 16 (hex form: 32 lowercase chars,
@@ -38,6 +49,11 @@ Conventions:
     keys[10]`` (352 hex chars).
 """
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
+import zlib
 from collections import namedtuple
 from functools import cached_property, lru_cache
 
@@ -205,8 +221,9 @@ class RoundKey(bytes):
     """A round-key register from :func:`expand_keys`, equal to its plain ``bytes``.
 
     A job's round-key registers serve every block, so each carries its
-    big-endian int as ``value``: :func:`expand_keys` sets the int it
-    computed, and a ``RoundKey`` made from bytes alone converts on first use.
+    big-endian int as ``value``: the pure-Python :func:`expand_keys` sets the
+    int it computed, and a ``RoundKey`` made from bytes alone, as the compiled
+    one makes them, converts on first use.
     """
 
     @cached_property
@@ -234,7 +251,10 @@ def block_round(register: bytes, round_key: bytes, final: bool = False) -> bytes
     ``2(s_r ^ s_r+1) ^ s_r ^ (s_0 ^ s_1 ^ s_2 ^ s_3)`` (Daemen & Rijmen,
     *The Design of Rijndael*, 2002, section 4.1). A :class:`RoundKey` brings
     its int; any other bytes-like round key is converted on each call.
+    The compiled datapath, when it loaded, runs the round instead.
     """
+    if _datapath is not None:
+        return _datapath.block_round(register, round_key, final, SBOX)
     hi24, lo8, hi16, lo16, low7, lsb, rows01, up2, down2, rows02, up1, down1, _, _, _ = \
         _masks(len(register))
     x = int.from_bytes(register.translate(SBOX), "big")
@@ -275,8 +295,14 @@ def expand_keys(keys: bytes) -> list:
     key, which the schedule holds: four strided slices of it, bytes 13, 14,
     15 and 12 of every lane, each go through the S-box by one ``translate``
     into bytes 0-3 of their lane in a ``bytearray`` that is zero elsewhere.
+    The compiled datapath, when it loaded, expands the keys instead.
     """
     keys = check_register(keys)
+    if _datapath is not None:
+        # Each plain register is freed as its RoundKey copy is made, so the
+        # next copy reuses its memory rather than fresh pages.
+        registers = _datapath.expand_keys(keys, SBOX, RCON)[::-1]
+        return [RoundKey(registers.pop()) for _ in range(len(registers))]
     n = len(keys)
     m = _masks(n)
     k = int.from_bytes(keys, "big")
@@ -313,6 +339,67 @@ def reference_encrypt(key: bytes, plaintext: bytes) -> bytes:
         state = add_round_key(mix_columns(shift_rows(sub_bytes(state))), keys[rnd])
     state = add_round_key(shift_rows(sub_bytes(state)), keys[10])
     return state_to_block(state)
+
+
+# ---------------------------------------------------------------------------
+# The compiled datapath
+# ---------------------------------------------------------------------------
+
+def _build_datapath(source: str, path: str) -> None:
+    """Compile ``source`` into the extension module ``path`` with the interpreter's own linker.
+
+    The compiler writes a name of this process's own, which then replaces
+    ``path``, so interpreters building at once each load a whole module. It
+    is started by ``posix_spawnp``, as ``subprocess`` would load ``locale``,
+    with its output sent to ``/dev/null``. Raises ``OSError`` if it fails.
+    """
+    import sysconfig
+
+    ldshared, include = sysconfig.get_config_vars("LDSHARED", "INCLUDEPY")
+    if not (ldshared and include and hasattr(os, "posix_spawnp")):
+        raise OSError("no C compiler is configured")
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    partial = f"{path}.{os.getpid()}.tmp"
+    argv = [*ldshared.split(), "-O2", "-fPIC", "-I", include, source, "-o", partial]
+    quiet = [(os.POSIX_SPAWN_OPEN, fd, os.devnull, os.O_WRONLY, 0) for fd in (1, 2)]
+    try:
+        pid = os.posix_spawnp(argv[0], argv, os.environ, file_actions=quiet)
+        if os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]):
+            raise OSError(f"{argv[0]} could not build {source}")
+        os.replace(partial, path)
+    finally:
+        if os.path.exists(partial):
+            os.remove(partial)
+
+
+def _load_datapath():
+    """The compiled datapath ``spime._datapath``, or None where it cannot be built or loaded.
+
+    It is built once into ``__pycache__`` beside this file, named by the
+    CRC-32 of ``_datapath.c`` and the interpreter's extension suffix, so an
+    edited source or another interpreter gets a build of its own. Without
+    the source, a compiler or a writable directory, the pure-Python
+    datapath runs, with the same bytes.
+    """
+    here = os.path.dirname(__file__)
+    source = os.path.join(here, "_datapath.c")
+    try:
+        with open(source, "rb") as fh:
+            crc = zlib.crc32(fh.read())
+        path = os.path.join(here, "__pycache__",
+                            f"_datapath.{crc:08x}{importlib.machinery.EXTENSION_SUFFIXES[0]}")
+        if not os.path.exists(path):
+            _build_datapath(source, path)
+        spec = importlib.util.spec_from_file_location("spime._datapath", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    except (OSError, ImportError):
+        return None
+    sys.modules[spec.name] = module
+    return module
+
+
+_datapath = _load_datapath()
 
 
 # ---------------------------------------------------------------------------

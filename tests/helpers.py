@@ -59,6 +59,14 @@ def run_python(*args, cwd, env=None, timeout=60, **streams):
                           timeout=timeout, **(streams or {"capture_output": True, "text": True}))
 
 
+def copy_package(root, without=()):
+    """Copy the spime package to ``root/spime``, leaving out its ``__pycache__`` and the
+    files named in ``without``; return the environment of a child that imports the copy."""
+    shutil.copytree(os.path.join(SRC, "spime"), os.path.join(root, "spime"),
+                    ignore=shutil.ignore_patterns("__pycache__", *without))
+    return child_env(PYTHONPATH=str(root))
+
+
 def spime(*argv, cwd):
     """Run the installed ``spime`` script when it is on ``PATH``, else ``python -m spime``."""
     script = shutil.which("spime")

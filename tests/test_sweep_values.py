@@ -91,4 +91,7 @@ def test_each_distinct_throughput_is_printed_once(interpretation, axes):
     # One latency per clock, one text per distinct throughput, LUT and FF per
     # (device, unit count).
     assert decimal4.call_count == len(clocks) + len(distinct) + 2 * len(catalog) * len(units)
-    assert "".join(s + "\n" for s in lines) == flat_csv(grid, interpretation)
+    # Split into lines, the texts compare exactly as they would whole, and a failure names
+    # its first differing line at once (a diff of two long strings takes minutes).
+    text = "".join(s + "\n" for s in lines)
+    assert text.split("\n") == flat_csv(grid, interpretation).split("\n")

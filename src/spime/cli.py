@@ -202,7 +202,7 @@ def cmd_sweep(args) -> list:
     if args.per_unit:
         interpretation = perf.PER_UNIT
 
-    return [(args.output, perf.sweep_csv_lines(pairs, interpretation))]
+    return [(args.output, perf.iter_sweep_csv_lines(pairs, interpretation))]
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,8 @@ the unit count, and throughput on everything but the device. So
 per (device, unit count), each from :func:`evaluate` at one point of the
 grid, and computes throughput once per (unit count, clock, block size),
 shared by every device, and prints it once per distinct value; each
-(device, unit count)'s rows are one string.
+(device, unit count)'s rows are one string, joined only when it is read,
+after every point is checked.
 Each rounded value is printed by one fixed-point conversion (``"%.4f"`` with
 its trailing zeros stripped, below 1e11), with the same bytes as
 ``repr(round(x, 4))``, which the flat path's csv.writer writes.
@@ -256,13 +257,14 @@ def _decimal4(x: float) -> str:
     return repr(round(x, 4))
 
 
-def _grid_lines(grid: "SweepGrid", interpretation: str) -> list:
-    """The strings of :func:`sweep_csv_lines`; raises on any point the model refuses.
+def _grid_lines(grid: "SweepGrid", interpretation: str):
+    """An iterator over the strings of :func:`sweep_csv_lines`, each joined when it is read.
 
-    Each distinct throughput is checked and printed once: equal floats print the same,
-    as :func:`_throughput` never gives ``-0.0``, and no value that is not finite is kept.
+    Every check and cell text comes first. Each distinct throughput is checked and printed
+    once: equal floats print the same, as :func:`_throughput` never gives ``-0.0``, and no
+    value that is not finite is kept.
     """
-    lines = [",".join(CSV_HEADER)]
+    rows = [(",".join(CSV_HEADER), "", ())]  # (head, tail, cells); the header has no cells
     cycles = grid.cycles_per_task
     texts = {}  # throughput -> its cell text
     for devices, num_pims, fmax_mhz, block_bits in grid.parts:
@@ -298,8 +300,19 @@ def _grid_lines(grid: "SweepGrid", interpretation: str) -> list:
                 res = evaluate(PerfQuery(n, f0, b0, cycles), device, interpretation)
                 head = f"{name}{n}"
                 tail = f",{_decimal4(res.lut_util_pct)},{_decimal4(res.ff_util_pct)}"
-                lines.append(head + (tail + "\n" + head).join(cells) + tail)
-    return lines
+                rows.append((head, tail, cells))
+    return (head + (tail + "\n" + head).join(cells) + tail for head, tail, cells in rows)
+
+
+def iter_sweep_csv_lines(grid: "SweepGrid", interpretation: str = AGGREGATE):
+    """:func:`sweep_csv_lines` as an iterator, returned once every point is checked, so
+    it holds the device-free cells, not the rows. When a point is refused, the grid is
+    evaluated again through :func:`sweep`, which raises the one-point path's error."""
+    try:
+        return _grid_lines(grid, interpretation)
+    except (ValueError, OverflowError):
+        sweep(grid, interpretation)
+        raise
 
 
 def sweep_csv_lines(grid: "SweepGrid", interpretation: str = AGGREGATE) -> list:
@@ -311,14 +324,11 @@ def sweep_csv_lines(grid: "SweepGrid", interpretation: str = AGGREGATE) -> list:
     :func:`sweep_csv_rows`, evaluated per axis (see the module docstring).
     Each rounded value is printed by one fixed-point conversion, with the
     same bytes as ``repr(round(x, 4))``, and each distinct throughput once.
-    When any point is refused, the grid is evaluated again through
-    :func:`sweep`, which raises the one-point path's error.
+    A refused point raises the one-point path's error, as in
+    :func:`iter_sweep_csv_lines`, whose strings this lists; ``spime sweep``
+    writes that iterator itself.
     """
-    try:
-        return _grid_lines(grid, interpretation)
-    except (ValueError, OverflowError):
-        sweep(grid, interpretation)
-        raise
+    return list(iter_sweep_csv_lines(grid, interpretation))
 
 
 # ---------------------------------------------------------------------------

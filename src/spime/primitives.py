@@ -237,11 +237,19 @@ def _round_key(register: bytes, value: int) -> RoundKey:
     return key
 
 
+def _check_lanes(register: bytes, round_key: bytes) -> None:
+    """Refuse a register of partial lanes or a round key of another width, as the compiled
+    round does."""
+    if len(register) % BLOCK_BYTES or len(round_key) != len(register):
+        raise ValueError("register must be whole 16-byte lanes and round_key as long")
+
+
 def block_round(register: bytes, round_key: bytes, final: bool = False) -> bytes:
     """One AES round on every lane of a register; the final round skips MixColumns.
 
     ``register`` and ``round_key`` hold one block-form state or round key
-    per 16-byte lane, so a register of N lanes runs N blocks at once.
+    per 16-byte lane, so a register of N lanes runs N blocks at once; other
+    widths raise ValueError on either datapath.
     SubBytes is one ``translate``. ShiftRows is two masked rotations by
     whole words: rows 2-3 by two columns, then rows 1 and 3 by one.
     MixColumns mixes every column at once on the big-endian int: with
@@ -255,6 +263,7 @@ def block_round(register: bytes, round_key: bytes, final: bool = False) -> bytes
     """
     if _datapath is not None:
         return _datapath.block_round(register, round_key, final, SBOX)
+    _check_lanes(register, round_key)
     hi24, lo8, hi16, lo16, low7, lsb, rows01, up2, down2, rows02, up1, down1, _, _, _ = \
         _masks(len(register))
     x = int.from_bytes(register.translate(SBOX), "big")
@@ -269,10 +278,12 @@ def block_round(register: bytes, round_key: bytes, final: bool = False) -> bytes
 
 
 def xor_blocks(a: bytes, b: bytes) -> bytes:
-    """AddRoundKey in block form: the bytewise XOR of two equally long registers.
+    """AddRoundKey in block form: the bytewise XOR of two equally long registers of whole
+    16-byte lanes; other widths raise ValueError.
 
     A :class:`RoundKey` as ``b`` brings its int, as in :func:`block_round`.
     """
+    _check_lanes(a, b)
     key = b.value if type(b) is RoundKey else int.from_bytes(b, "big")
     return (int.from_bytes(a, "big") ^ key).to_bytes(len(a), "big")
 

@@ -117,3 +117,21 @@ def test_a_round_constant_mutant_reaches_both_backends(monkeypatch):
     compiled, pure = _both(expand_keys, keys)
     assert _schedule_lanes(compiled) == _schedule_lanes(pure)
     assert compiled[:5] == want[:5] and all(a != b for a, b in zip(compiled[5:], want[5:]))
+
+
+@pytest.mark.parametrize("register_bytes, key_bytes", [(20, 20), (32, 16), (32, 48)])
+@pytest.mark.parametrize("key_form", [bytes, RoundKey])
+def test_both_backends_refuse_part_lanes_and_a_key_of_another_width(
+        register_bytes, key_bytes, key_form):
+    # Non-zero bytes: a wider key of zeros would fit the register's int.
+    rng = random.Random(f"widths:{register_bytes}:{key_bytes}")
+    register = bytes(rng.randrange(1, 256) for _ in range(register_bytes))
+    round_key = key_form(rng.randrange(1, 256) for _ in range(key_bytes))
+    refusal = "^register must be whole 16-byte lanes and round_key as long$"
+    for final in (False, True):
+        with pytest.raises(ValueError, match=refusal):
+            block_round(register, round_key, final)
+        with pytest.raises(ValueError, match=refusal):
+            _pure(block_round, register, round_key, final)
+    with pytest.raises(ValueError, match=refusal):
+        primitives.xor_blocks(register, round_key)

@@ -6,6 +6,10 @@ warning printed at exit cannot change the exit code, so each check also
 asserts that stderr holds nothing but the expected error line.
 """
 
+import pathlib
+
+import pytest
+
 from oracles import FIPS_C1_CIPHERTEXT, FIPS_C1_KEY, FIPS_C1_PLAINTEXT
 from helpers import CIPHERTEXT, DATA, PLAINTEXT, fips_job, run_python
 
@@ -42,3 +46,16 @@ def test_a_job_with_no_units_is_refused_with_no_line_number(tmp_path):
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == f"error: {job}: job file holds no units\n"
     assert not (tmp_path / "dev.empty.out").exists()
+
+
+@pytest.mark.skipif(not pathlib.Path("/dev/full").exists(), reason="needs /dev/full")
+def test_a_sweep_to_a_full_device_fails_once_and_stages_nothing(tmp_path):
+    # 480 rows, about 24 KB: the write fails with the row iterator part read.
+    proc = _dev("sweep", "--device", "U55C", "U280", "VCU118", "ZCU104", "ZCU106",
+                "--num-pims", *map(str, range(1, 9)), "--fmax-mhz", "100", "200", "300",
+                "--block-bits", "128", "256", "512", "1024", "--output", "/dev/full",
+                cwd=tmp_path)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == "error: [Errno 28] No space left on device\n"
+    assert list(tmp_path.iterdir()) == []
+    assert not list(pathlib.Path("/dev").glob(".full.*.tmp"))

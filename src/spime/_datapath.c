@@ -5,13 +5,14 @@
 
    A register is N block-form states side by side, lane u at bytes
    16u .. 16u+15; byte 4c + r of a lane is state entry (row r, column c).
-   The round uses T-tables (Daemen & Rijmen, The Design of Rijndael, 2002,
-   section 4.2): te[j][x] is the column that S(x) in row j contributes after
-   MixColumns, so a column of the next state is four lookups and the round
-   key. A column word holds row r in bits 8r .. 8r+7 whatever the host's
-   byte order. The S-box and the round constants come in as arguments on
-   every call, and the tables are rebuilt whenever the S-box bytes differ
-   from those they were built from. */
+   Both kinds of round use T-tables (Daemen & Rijmen, The Design of Rijndael,
+   2002, section 4.2): te[j][x] is the column that S(x) in row j contributes
+   after MixColumns, so a column of the next state is four lookups and the
+   round key. The final round, without MixColumns, masks the same tables:
+   te[(r + 3) & 3][x] holds S(x) itself in row r's byte. A column word holds
+   row r in bits 8r .. 8r+7 whatever the host's byte order. The S-box and the
+   round constants come in as byte buffers on every call, and the tables are
+   rebuilt whenever the S-box bytes differ from those they were built from. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -20,6 +21,8 @@
 
 #define LANE 16
 #define SBOX_BYTES 256
+#define MAX_ROUNDS 64
+#define VIEWS 3
 
 static uint32_t te[4][SBOX_BYTES];
 static unsigned char te_sbox[SBOX_BYTES];
@@ -31,9 +34,12 @@ rotl8(uint32_t w)
     return (w << 8) | (w >> 24);
 }
 
+/* The tables of sbox, built again only when its bytes changed. */
 static void
-build_tables(const unsigned char *sbox)
+use_sbox(const unsigned char *sbox)
 {
+    if (te_built && !memcmp(te_sbox, sbox, SBOX_BYTES))
+        return;
     for (int x = 0; x < SBOX_BYTES; x++) {
         uint32_t s = sbox[x];
         uint32_t s2 = ((s << 1) ^ ((s & 0x80) ? 0x1B : 0)) & 0xFF;
@@ -61,61 +67,62 @@ store_column(unsigned char *p, uint32_t w)
     p[3] = (unsigned char)(w >> 24);
 }
 
-/* A read-only byte view of obj, or -1 with an exception set. */
-static int
-get_bytes(PyObject *obj, Py_buffer *view, const char *name)
+/* Row r of column c after SubBytes and ShiftRows, which takes it from column
+   c + r: its MixColumns contribution, or in a final round S(x) alone. */
+static inline uint32_t
+lookup(const unsigned char *lane, int c, int r, int final)
 {
-    if (PyObject_GetBuffer(obj, view, PyBUF_SIMPLE) < 0) {
-        PyErr_Format(PyExc_TypeError, "%s must be bytes-like, not %.100s", name,
-                     Py_TYPE(obj)->tp_name);
-        return -1;
-    }
-    return 0;
+    uint32_t t = te[(r + 3 * final) & 3][lane[4 * ((c + r) & 3) + r]];
+    return final ? t & (0xFFu << 8 * r) : t;
 }
 
-static int
-check_sbox(const Py_buffer *sbox)
-{
-    if (sbox->len != SBOX_BYTES) {
-        PyErr_SetString(PyExc_ValueError, "sbox must be 256 bytes");
-        return -1;
-    }
-    return 0;
-}
-
-static void
-full_rounds(const unsigned char *in, const unsigned char *key, unsigned char *out, Py_ssize_t n)
-{
-    for (Py_ssize_t i = 0; i < n; i += LANE) {
-        const unsigned char *s = in + i, *k = key + i;
-        for (int c = 0; c < 4; c++) {
-            /* ShiftRows: row r of column c comes from column c + r. */
-            uint32_t w = te[0][s[4 * c]] ^ te[1][s[4 * ((c + 1) & 3) + 1]]
-                         ^ te[2][s[4 * ((c + 2) & 3) + 2]] ^ te[3][s[4 * ((c + 3) & 3) + 3]];
-            store_column(out + i + 4 * c, w ^ load_column(k + 4 * c));
-        }
-    }
-}
-
-static void
-final_rounds(const unsigned char *in, const unsigned char *key, unsigned char *out, Py_ssize_t n,
-             const unsigned char *sbox)
+/* One round, full or final, on each lane of the n bytes at in. */
+static inline void
+round_lanes(const unsigned char *in, const unsigned char *key, unsigned char *out, Py_ssize_t n,
+            int final)
 {
     for (Py_ssize_t i = 0; i < n; i += LANE)
-        for (int c = 0; c < 4; c++)
-            for (int r = 0; r < 4; r++)
-                out[i + 4 * c + r] = sbox[in[i + 4 * ((c + r) & 3) + r]] ^ key[i + 4 * c + r];
+        for (int c = 0; c < 4; c++) {
+            uint32_t w = lookup(in + i, c, 0, final) ^ lookup(in + i, c, 1, final)
+                         ^ lookup(in + i, c, 2, final) ^ lookup(in + i, c, 3, final);
+            store_column(out + i + 4 * c, w ^ load_column(key + i + 4 * c));
+        }
+}
+
+/* Read-only byte views of the leading VIEWS arguments, all or none: -1 with a
+   TypeError naming the first that is not bytes-like. */
+static int
+get_views(PyObject *const *args, Py_buffer *views, const char *const *names)
+{
+    for (int i = 0; i < VIEWS; i++) {
+        if (PyObject_GetBuffer(args[i], &views[i], PyBUF_SIMPLE) < 0) {
+            PyErr_Format(PyExc_TypeError, "%s must be bytes-like, not %.100s", names[i],
+                         Py_TYPE(args[i])->tp_name);
+            while (i--)
+                PyBuffer_Release(&views[i]);
+            return -1;
+        }
+    }
+    return 0;
+}
+
+static void
+release_views(Py_buffer *views)
+{
+    for (int i = 0; i < VIEWS; i++)
+        PyBuffer_Release(&views[i]);
 }
 
 PyDoc_STRVAR(block_round_doc,
-"block_round(register, round_key, final, sbox) -> bytes\n\n"
+"block_round(register, round_key, sbox, final) -> bytes\n\n"
 "One AES round on every 16-byte lane of register, with sbox as the S-box;\n"
 "a true final skips MixColumns. round_key is as long as register.");
 
 static PyObject *
 block_round(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
-    Py_buffer reg, key, sbox;
+    static const char *const names[VIEWS] = {"register", "round_key", "sbox"};
+    Py_buffer v[VIEWS];
     PyObject *result = NULL;
     int final;
 
@@ -123,36 +130,22 @@ block_round(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs
         PyErr_Format(PyExc_TypeError, "block_round takes 4 arguments (%zd given)", nargs);
         return NULL;
     }
-    if ((final = PyObject_IsTrue(args[2])) < 0 || get_bytes(args[0], &reg, "register") < 0)
+    if ((final = PyObject_IsTrue(args[3])) < 0 || get_views(args, v, names) < 0)
         return NULL;
-    if (get_bytes(args[1], &key, "round_key") < 0)
-        goto release_reg;
-    if (get_bytes(args[3], &sbox, "sbox") < 0)
-        goto release_key;
-    if (check_sbox(&sbox) < 0)
-        goto release_sbox;
-    if (reg.len % LANE || key.len != reg.len) {
+    if (v[2].len != SBOX_BYTES)
+        PyErr_SetString(PyExc_ValueError, "sbox must be 256 bytes");
+    else if (v[0].len % LANE || v[1].len != v[0].len)
         PyErr_SetString(PyExc_ValueError,
                         "register must be whole 16-byte lanes and round_key as long");
-        goto release_sbox;
-    }
-    result = PyBytes_FromStringAndSize(NULL, reg.len);
-    if (result != NULL) {
+    else if ((result = PyBytes_FromStringAndSize(NULL, v[0].len)) != NULL) {
         unsigned char *out = (unsigned char *)PyBytes_AS_STRING(result);
-        if (final) {
-            final_rounds(reg.buf, key.buf, out, reg.len, sbox.buf);
-        } else {
-            if (!te_built || memcmp(te_sbox, sbox.buf, SBOX_BYTES))
-                build_tables(sbox.buf);
-            full_rounds(reg.buf, key.buf, out, reg.len);
-        }
+        use_sbox(v[2].buf);
+        if (final)
+            round_lanes(v[0].buf, v[1].buf, out, v[0].len, 1);
+        else
+            round_lanes(v[0].buf, v[1].buf, out, v[0].len, 0);
     }
-release_sbox:
-    PyBuffer_Release(&sbox);
-release_key:
-    PyBuffer_Release(&key);
-release_reg:
-    PyBuffer_Release(&reg);
+    release_views(v);
     return result;
 }
 
@@ -182,69 +175,45 @@ expand_lanes(const unsigned char *sbox, const unsigned char *rcon, Py_ssize_t ro
 }
 
 PyDoc_STRVAR(expand_keys_doc,
-"expand_keys(keys, sbox, rcon) -> list of bytes\n\n"
+"expand_keys(keys, rcon, sbox) -> list of bytes\n\n"
 "Expand one 16-byte cipher key per lane of keys into len(rcon) + 1\n"
-"round-key registers, with sbox as the S-box and rcon as the round\n"
-"constants; lane u of register i is round key i of key u.");
+"round-key registers, with the bytes of rcon as the round constants and\n"
+"sbox as the S-box; lane u of register i is round key i of key u.");
 
 static PyObject *
 expand_keys(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
-    Py_buffer keys, sbox;
-    PyObject *rcon_seq = NULL, *schedule = NULL;
-    unsigned char rcon[64];
-    unsigned char *regs[65];
-    Py_ssize_t rounds;
+    static const char *const names[VIEWS] = {"keys", "rcon", "sbox"};
+    Py_buffer v[VIEWS];
+    PyObject *schedule = NULL;
+    unsigned char *regs[MAX_ROUNDS + 1];
 
     if (nargs != 3) {
         PyErr_Format(PyExc_TypeError, "expand_keys takes 3 arguments (%zd given)", nargs);
         return NULL;
     }
-    if (get_bytes(args[0], &keys, "keys") < 0)
+    if (get_views(args, v, names) < 0)
         return NULL;
-    if (get_bytes(args[1], &sbox, "sbox") < 0)
-        goto release_keys;
-    if (check_sbox(&sbox) < 0)
-        goto release_sbox;
-    if (keys.len % LANE) {
+    if (v[2].len != SBOX_BYTES)
+        PyErr_SetString(PyExc_ValueError, "sbox must be 256 bytes");
+    else if (v[0].len % LANE)
         PyErr_SetString(PyExc_ValueError, "keys must be whole 16-byte lanes");
-        goto release_sbox;
-    }
-    if ((rcon_seq = PySequence_Fast(args[2], "rcon must be a sequence")) == NULL)
-        goto release_sbox;
-    rounds = PySequence_Fast_GET_SIZE(rcon_seq);
-    if (rounds > (Py_ssize_t)sizeof(rcon)) {
+    else if (v[1].len > MAX_ROUNDS)
         PyErr_SetString(PyExc_ValueError, "rcon holds too many round constants");
-        goto release_rcon;
-    }
-    for (Py_ssize_t r = 0; r < rounds; r++) {
-        long value = PyLong_AsLong(PySequence_Fast_GET_ITEM(rcon_seq, r));
-        if (value == -1 && PyErr_Occurred())
-            goto release_rcon;
-        if (value < 0 || value > 0xFF) {
-            PyErr_SetString(PyExc_ValueError, "each round constant must be a byte");
-            goto release_rcon;
+    else if ((schedule = PyList_New(v[1].len + 1)) != NULL) {
+        for (Py_ssize_t r = 0; r <= v[1].len && schedule != NULL; r++) {
+            PyObject *reg = PyBytes_FromStringAndSize(r ? NULL : v[0].buf, v[0].len);
+            if (reg == NULL) {
+                Py_CLEAR(schedule);
+            } else {
+                PyList_SET_ITEM(schedule, r, reg);
+                regs[r] = (unsigned char *)PyBytes_AS_STRING(reg);
+            }
         }
-        rcon[r] = (unsigned char)value;
+        if (schedule != NULL)
+            expand_lanes(v[2].buf, v[1].buf, v[1].len, regs, v[0].len);
     }
-    if ((schedule = PyList_New(rounds + 1)) == NULL)
-        goto release_rcon;
-    for (Py_ssize_t r = 0; r <= rounds; r++) {
-        PyObject *reg = PyBytes_FromStringAndSize(r ? NULL : keys.buf, keys.len);
-        if (reg == NULL) {
-            Py_CLEAR(schedule);
-            goto release_rcon;
-        }
-        PyList_SET_ITEM(schedule, r, reg);
-        regs[r] = (unsigned char *)PyBytes_AS_STRING(reg);
-    }
-    expand_lanes(sbox.buf, rcon, rounds, regs, keys.len);
-release_rcon:
-    Py_DECREF(rcon_seq);
-release_sbox:
-    PyBuffer_Release(&sbox);
-release_keys:
-    PyBuffer_Release(&keys);
+    release_views(v);
     return schedule;
 }
 
@@ -255,11 +224,11 @@ static PyMethodDef datapath_methods[] = {
 };
 
 static struct PyModuleDef datapath_module = {
-    PyModuleDef_HEAD_INIT,
-    "_datapath",
-    "The AES-128 round and key schedule of spime.primitives, compiled.",
-    -1,
-    datapath_methods,
+    .m_base = PyModuleDef_HEAD_INIT,
+    .m_name = "_datapath",
+    .m_doc = "The AES-128 round and key schedule of spime.primitives, compiled.",
+    .m_size = -1,
+    .m_methods = datapath_methods,
 };
 
 PyMODINIT_FUNC

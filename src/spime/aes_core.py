@@ -57,8 +57,9 @@ def datapath(state: str, rnd: int, state_reg: bytes, data_in: bytes, round_keys:
     unit, with ``data_in`` and ``round_keys`` in the same layout: one lane
     for a lone core, N for the lockstep array's one ``PimUnit`` on N-lane
     buses. Only this function knows how each state updates the register.
-    Each :class:`~spime.primitives.RoundKey` from ``expand_keys`` carries
-    the int the expansion computed, so no round converts a key from bytes.
+    On the compiled path each :class:`~spime.primitives.RoundKey` wraps the
+    module's bytes, read as they are by ``block_round``; ``xor_blocks`` converts
+    key 0 once per job. On the pure-Python path each carries its computed int.
     """
     if state == ROUND:
         return block_round(state_reg, round_keys[rnd + 1])

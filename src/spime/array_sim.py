@@ -392,20 +392,18 @@ def undecodable_line(fh, exc: UnicodeDecodeError) -> tuple:
 
     For an open text file (a job file or the device catalog) whose decoding raised ``exc``,
     which names only an offset into the decoder's chunk: its bytes are read again through
-    ``fh.buffer`` from offset 0 (the path is never opened again), a leading byte-order mark
-    skipped, and lines end at ``\\n``, ``\\r\\n`` or ``\\r``. Re-raises ``exc`` if they now
-    decode. A handle that cannot seek (a pipe or FIFO, read only once) gets no line: the byte
-    and the reason come from ``exc``.
+    ``fh.buffer`` from offset 0 (the path is never opened again), and lines end at ``\\n``,
+    ``\\r\\n`` or ``\\r``. Re-raises ``exc`` if they now decode. A handle that cannot seek
+    (a pipe or FIFO, read only once) gets no line: the byte and the reason come from ``exc``.
     """
     if not fh.seekable():
         return None, f"byte 0x{exc.object[exc.start]:02x} is not UTF-8 ({exc.reason})"
     fh.buffer.seek(0)
     data = fh.buffer.read()
-    start = 3 if data.startswith(b"\xef\xbb\xbf") else 0
     try:
-        data[start:].decode("utf-8")
+        data.decode("utf-8")
     except UnicodeDecodeError as found:
-        offset = start + found.start
+        offset = found.start
         head = data[:offset]
         line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
         return line, f"byte 0x{data[offset]:02x} at offset {offset} is not UTF-8 ({found.reason})"

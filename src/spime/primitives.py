@@ -16,8 +16,8 @@ one per 16-byte lane, so N units' states advance in one call.
 1. The compiled module ``spime._datapath``, built from ``_datapath.c`` on
    first import (see :func:`_load_datapath`), runs both with T-tables
    (Daemen & Rijmen, *The Design of Rijndael*, 2002, section 4.2). They
-   call it whenever it loaded, passing :data:`SBOX` and :data:`RCON` on
-   every call.
+   call it whenever it loaded, passing :data:`SBOX` and the bytes of
+   :data:`RCON` on every call.
 2. The pure-Python code below them is the reference the compiled module is
    tested against and the fallback where it cannot be built; it gives the
    same bytes. :func:`block_round` holds the register as one big-endian int
@@ -262,7 +262,7 @@ def block_round(register: bytes, round_key: bytes, final: bool = False) -> bytes
     The compiled datapath, when it loaded, runs the round instead.
     """
     if _datapath is not None:
-        return _datapath.block_round(register, round_key, final, SBOX)
+        return _datapath.block_round(register, round_key, SBOX, final)
     _check_lanes(register, round_key)
     hi24, lo8, hi16, lo16, low7, lsb, rows01, up2, down2, rows02, up1, down1, _, _, _ = \
         _masks(len(register))
@@ -312,7 +312,7 @@ def expand_keys(keys: bytes) -> list:
     if _datapath is not None:
         # Each plain register is freed as its RoundKey copy is made, so the
         # next copy reuses its memory rather than fresh pages.
-        registers = _datapath.expand_keys(keys, SBOX, RCON)[::-1]
+        registers = _datapath.expand_keys(keys, bytes(RCON), SBOX)[::-1]
         return [RoundKey(registers.pop()) for _ in range(len(registers))]
     n = len(keys)
     m = _masks(n)

@@ -135,3 +135,62 @@ def test_both_backends_refuse_part_lanes_and_a_key_of_another_width(
             _pure(block_round, register, round_key, final)
     with pytest.raises(ValueError, match=refusal):
         primitives.xor_blocks(register, round_key)
+
+
+class _Falsehood:
+    """A ``final`` that cannot be read as a truth value."""
+
+    def __bool__(self):
+        raise ZeroDivisionError("no truth value")
+
+
+def _good_arguments(function):
+    """Arguments the compiled ``function`` accepts, every buffer a ``bytearray``."""
+    if function == "block_round":
+        return [bytearray(32), bytearray(32), bytearray(SBOX), False]
+    return [bytearray(32), bytearray(RCON), bytearray(SBOX)]
+
+
+def _assert_released(arguments):
+    """Each ``bytearray`` resizes, which raises BufferError while a view of it is held."""
+    for argument in arguments:
+        if type(argument) is bytearray:
+            argument.append(0)
+            argument.pop()
+
+
+_COMPILED = pytest.mark.skipif(primitives._datapath is None,
+                               reason="the compiled datapath did not load")
+_LANES = "^register must be whole 16-byte lanes and round_key as long$"
+
+
+@_COMPILED
+@pytest.mark.parametrize("function, position, bad, error, refusal", [
+    ("block_round", 0, None, TypeError, "^register must be bytes-like, not NoneType$"),
+    ("block_round", 1, None, TypeError, "^round_key must be bytes-like, not NoneType$"),
+    ("block_round", 2, None, TypeError, "^sbox must be bytes-like, not NoneType$"),
+    ("block_round", 3, _Falsehood(), ZeroDivisionError, "^no truth value$"),
+    ("block_round", 0, bytearray(40), ValueError, _LANES),
+    ("block_round", 1, bytearray(48), ValueError, _LANES),
+    ("block_round", 2, bytearray(255), ValueError, "^sbox must be 256 bytes$"),
+    ("expand_keys", 0, None, TypeError, "^keys must be bytes-like, not NoneType$"),
+    ("expand_keys", 1, None, TypeError, "^rcon must be bytes-like, not NoneType$"),
+    ("expand_keys", 2, None, TypeError, "^sbox must be bytes-like, not NoneType$"),
+    ("expand_keys", 0, bytearray(40), ValueError, "^keys must be whole 16-byte lanes$"),
+    ("expand_keys", 1, bytearray(65), ValueError, "^rcon holds too many round constants$"),
+    ("expand_keys", 2, bytearray(255), ValueError, "^sbox must be 256 bytes$"),
+])
+def test_a_refused_call_releases_every_argument(function, position, bad, error, refusal):
+    arguments = _good_arguments(function)
+    arguments[position] = bad
+    with pytest.raises(error, match=refusal):
+        getattr(primitives._datapath, function)(*arguments)
+    _assert_released(arguments)
+
+
+@_COMPILED
+@pytest.mark.parametrize("function", ["block_round", "expand_keys"])
+def test_an_accepted_call_releases_every_argument(function):
+    arguments = _good_arguments(function)
+    getattr(primitives._datapath, function)(*arguments)
+    _assert_released(arguments)

@@ -8,7 +8,9 @@ package, so the build they see is their own.
 """
 
 import hashlib
+import pathlib
 import shutil
+import subprocess
 import sys
 import sysconfig
 import zlib
@@ -105,3 +107,13 @@ def test_two_first_runs_at_once_give_the_same_bytes(tmp_path):
     assert [result[:3] for result in results] == [(0, want, FIPS_REPORT)] * 2
     assert [("spime._datapath" in result[4]) for result in results] == [HAVE_COMPILER] * 2
     assert _builds(package) == ([_build_name(package)] if HAVE_COMPILER else [])
+
+
+@pytest.mark.skipif(not HAVE_COMPILER, reason="LDSHARED's compiler is not on PATH")
+def test_the_datapath_source_builds_without_a_warning(tmp_path):
+    ldshared, include = sysconfig.get_config_vars("LDSHARED", "INCLUDEPY")
+    source = pathlib.Path(primitives.__file__).with_name("_datapath.c")
+    argv = [*ldshared.split(), "-O2", "-fPIC", "-Wall", "-Wextra", "-Werror", "-I", include,
+            str(source), "-o", str(tmp_path / f"_datapath{BUILD_SUFFIX}")]
+    build = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+    assert build.returncode == 0, build.stderr

@@ -18,9 +18,9 @@ unit's key and blocks in file order, then hex-encoded one run of whole
 lines (about 64 KiB of text) at a time, with every separator written by
 one strided slice. A per-unit :class:`PimUnit` stays the reference
 model: an N-unit run matches N independent unit runs cycle for cycle.
-With tracing on, the array records the shared control signals once per
-cycle and renders each as one string of N CSV rows, the record behind
-each unit number, only when read, so trace memory does not grow with N.
+With tracing on, the array records the six shared control signals once per
+cycle, the cycle given by the record's position, and renders each as one string
+of N CSV rows only when read, so trace memory does not grow with N.
 
 Job file format (one line per unit, '#' comments allowed):
 
@@ -31,8 +31,8 @@ shape: over the rest of a job at once, or over a line's two fields joined by one
 space. The line that sets the block count, and any it refuses, go field by field.
 """
 
+import collections
 import re
-from typing import NamedTuple
 
 from .aes_core import IDLE
 from .controller import C_IDLE, PimUnit, UNIT_CYCLES_PER_BLOCK
@@ -149,13 +149,8 @@ class SpimeResult:
         return _per_unit(self.output_registers, len(self.output_registers[0]) // BLOCK_BYTES)
 
 
-class UnitObservation(NamedTuple):
-    ctrl_state: str
-    core_state: str
-    aes_start: bool
-    aes_done: bool
-    done: bool
-    round: int
+UnitObservation = collections.namedtuple("UnitObservation",
+                                         "ctrl_state core_state aes_start aes_done done round")
 
 
 class SpimeArraySim:
@@ -171,7 +166,7 @@ class SpimeArraySim:
         self._control.reset()
         zero = self._control.core.state_reg = bytes(BLOCK_BYTES * self.cfg.num_pims)
         self.cycle = 0
-        self._trace = []  # one control record per cycle: TRACE_HEADER minus "unit"
+        self._trace = []  # per cycle, its six signals in TRACE_HEADER order; numbered when read
         # The staged buses: 16N bytes wide from reset on, as the job's registers are.
         self._inputs = [zero]  # per block index, the register of every unit's input
         self._round_keys = [zero] * NUM_ROUND_KEYS
@@ -239,8 +234,8 @@ class SpimeArraySim:
             captured.append(ctrl.data_out)
         if self.cfg.trace_enabled:
             core = control.core
-            self._trace.append((self.cycle, ctrl.state, int(ctrl.aes_start), core.current_state,
-                                core.round, int(core.done), int(ctrl.done)))
+            self._trace.append((ctrl.state, int(ctrl.aes_start), core.current_state, core.round,
+                                int(core.done), int(ctrl.done)))
 
     def tick(self) -> list:
         """Advance the array exactly one global cycle; returns one observation per unit."""
@@ -248,7 +243,7 @@ class SpimeArraySim:
         return [self._observe()] * self.cfg.num_pims
 
     def iter_trace_lines(self):
-        """Yield the trace CSV text: the header line, then one string per cycle.
+        """Yield the trace CSV text: the header line, then one string per cycle, from cycle 1.
 
         A cycle's string holds its N rows, newline-separated and without a
         final newline. No field can hold a comma or a quote (ints and FSM
@@ -256,8 +251,8 @@ class SpimeArraySim:
         """
         yield ",".join(TRACE_HEADER)
         prefixes = [f"{u}," for u in range(self.cfg.num_pims)]
-        for record in self._trace:
-            tail = ",".join(map(str, record))
+        for cycle, record in enumerate(self._trace, 1):
+            tail = f"{cycle}," + ",".join(map(str, record))
             yield (tail + "\n").join(prefixes) + tail
 
     def iter_trace_rows(self):
@@ -265,9 +260,9 @@ class SpimeArraySim:
 
         ``simulate`` writes :meth:`iter_trace_lines` instead; the rows serve the tests.
         """
-        for record in self._trace:
+        for cycle, record in enumerate(self._trace, 1):
             for u in range(self.cfg.num_pims):
-                yield [u, *record]
+                yield [u, cycle, *record]
 
     @property
     def trace_rows(self) -> list:

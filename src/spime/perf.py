@@ -39,6 +39,7 @@ again by the flat path, with the same message and query index.
 """
 
 import io
+import itertools
 import math
 import os
 
@@ -348,14 +349,15 @@ def load_device_catalog(path: str = None) -> dict:
     line, a missing column, a non-integer or non-positive count, a count too
     large for a float (or whose per-unit cost is not finite), a repeated
     device name or a byte that is not UTF-8 (the line of the first such
-    byte, none for a pipe). A leading UTF-8 byte-order mark is skipped.
+    byte, none for a pipe). One leading byte-order mark is dropped, as utf-8-sig would.
     """
     import csv
 
     if path is None:
         path = catalog_path()
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.DictReader(fh)
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(line.removeprefix("\ufeff") if n == 1 else line
+                                for n, line in enumerate(fh, 1))
         try:
             rows = [(reader.line_num, row) for row in reader]
         except csv.Error as exc:
@@ -408,11 +410,8 @@ class SweepGrid(_Record):
     def __iter__(self):
         cycles = self.cycles_per_task
         for devices, num_pims, fmax_mhz, block_bits in self.parts:
-            for device in devices:
-                for n in num_pims:
-                    for f in fmax_mhz:
-                        for b in block_bits:
-                            yield PerfQuery(n, f, b, cycles), device
+            for device, n, f, b in itertools.product(devices, num_pims, fmax_mhz, block_bits):
+                yield PerfQuery(n, f, b, cycles), device
 
 
 def sweep_grid(catalog: dict, device=None, num_pims=None, fmax_mhz=None, block_bits=None,

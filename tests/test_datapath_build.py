@@ -117,3 +117,19 @@ def test_the_datapath_source_builds_without_a_warning(tmp_path):
             str(source), "-o", str(tmp_path / f"_datapath{BUILD_SUFFIX}")]
     build = subprocess.run(argv, capture_output=True, text=True, timeout=120)
     assert build.returncode == 0, build.stderr
+
+
+@pytest.mark.skipif(not HAVE_COMPILER, reason="LDSHARED's compiler is not on PATH")
+def test_the_static_analyzer_finds_nothing_in_the_datapath_source(tmp_path):
+    ldshared, include = sysconfig.get_config_vars("LDSHARED", "INCLUDEPY")
+    compiler = ldshared.split()[0]
+    probe = subprocess.run([compiler, "-fanalyzer", "-fsyntax-only", "-x", "c", "-"],
+                           input="", capture_output=True, text=True, timeout=60)
+    if probe.returncode != 0:
+        pytest.skip(f"{compiler} refuses -fanalyzer: {probe.stderr.strip()}")
+    source = pathlib.Path(primitives.__file__).with_name("_datapath.c")
+    # Unoptimized, so the analyzer sees each allocation before -O2 could fold it away.
+    argv = [*ldshared.split(), "-fPIC", "-fanalyzer", "-Wall", "-Wextra", "-Werror",
+            "-I", include, str(source), "-o", str(tmp_path / f"_datapath{BUILD_SUFFIX}")]
+    build = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+    assert build.returncode == 0, build.stderr
